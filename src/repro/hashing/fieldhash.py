@@ -99,115 +99,6 @@ def hash_columns(matrix: np.ndarray) -> List[bytes]:
     return out
 
 
-class ColumnChainHasher:
-    """Incremental, tile-at-a-time version of :func:`hash_columns`.
-
-    :func:`hash_columns` chains each column's 256-bit words (4 field
-    elements per word) left to right.  That chain is *sequential in the
-    row direction*, so a commitment can stream row tiles — encode a tile,
-    fold it into the per-column accumulators, discard the tile — and
-    never materialize the full matrix.  Feeding the same rows through
-    :meth:`update` in order and calling :meth:`finalize` is byte-for-byte
-    identical to ``hash_columns`` on the stacked matrix (property-tested
-    in ``tests/test_parallel.py``).
-
-    The chain rule per column: the first word is stashed; every later
-    word ``w`` folds as ``acc = sha3(acc + w)`` (the stashed first word
-    plays the role of ``acc`` for the second word); a column that only
-    ever sees one word finalizes as ``sha3(w0 + zeros)``.  State is
-    exactly 32 bytes per column plus one shared word counter, so it also
-    ships cheaply through shared memory when tiles are folded on worker
-    processes.
-    """
-
-    def __init__(self, num_cols: int, total_rows: int):
-        if total_rows < 1 or num_cols < 1:
-            raise ValueError("need at least one row and one column")
-        self.num_cols = num_cols
-        self.total_rows = total_rows
-        #: Rows including the zero padding hash_columns applies.
-        self.padded_rows = total_rows + ((-total_rows) % ELEMENTS_PER_WORD)
-        self.rows_fed = 0
-        self.words_done = 0
-        # 32 bytes per column: the pending first word, then the chain acc.
-        self.state = np.zeros((num_cols, DIGEST_BYTES), dtype=np.uint8)
-
-    def update(self, tile: np.ndarray) -> None:
-        """Fold a ``(tile_rows, num_cols)`` row tile into the chains.
-
-        Every tile except the last must carry a multiple of
-        ``ELEMENTS_PER_WORD`` rows (word boundaries cannot straddle
-        tiles); the final tile is zero-padded internally, exactly like
-        :func:`hash_columns` pads the full matrix.
-        """
-        tile = np.asarray(tile, dtype=np.uint64)
-        if tile.ndim != 2 or tile.shape[1] != self.num_cols:
-            raise ValueError("tile shape does not match the chain geometry")
-        t_rows = tile.shape[0]
-        if self.rows_fed + t_rows > self.total_rows:
-            raise ValueError("more rows than the chain was sized for")
-        self.rows_fed += t_rows
-        pad = (-t_rows) % ELEMENTS_PER_WORD
-        if pad and self.rows_fed != self.total_rows:
-            raise ValueError("only the final tile may be a partial word")
-        fold_chunk(self.state, tile, self.words_done)
-        self.words_done += (t_rows + pad) // ELEMENTS_PER_WORD
-
-    def finalize(self) -> bytes:
-        """Flat ``num_cols * 32`` leaf-digest bytes (hash_columns order)."""
-        if self.rows_fed != self.total_rows:
-            raise ValueError(
-                f"chain fed {self.rows_fed} of {self.total_rows} rows")
-        if self.words_done == 1:
-            # Single-word columns pair with a zero word, per hash_elements.
-            zero = b"\x00" * DIGEST_BYTES
-            raw = self.state.tobytes()
-            _sha3 = hashlib.sha3_256
-            return b"".join(
-                _sha3(raw[off : off + DIGEST_BYTES] + zero).digest()
-                for off in range(0, len(raw), DIGEST_BYTES))
-        return self.state.tobytes()
-
-
-def fold_chunk(state: np.ndarray, tile: np.ndarray, words_done: int) -> None:
-    """Fold one row tile into a slice of chain state, in place.
-
-    ``state`` is ``(cols, 32)`` uint8; ``tile`` is ``(tile_rows, cols)``
-    uint64 with ``tile_rows`` padded to a word boundary by the caller's
-    geometry (a trailing partial word is zero-padded here).  This is the
-    worker-side kernel of the streaming commit: both arguments may be
-    views into shared memory, so chunks of columns fold concurrently with
-    no data shipped beyond their descriptors.
-    """
-    cols = state.shape[0]
-    t_rows = tile.shape[0]
-    pad = (-t_rows) % ELEMENTS_PER_WORD
-    packed = np.zeros((cols, t_rows + pad), dtype="<u8")
-    packed[:, :t_rows] = tile.T
-    words = (t_rows + pad) // ELEMENTS_PER_WORD
-    stride = words * DIGEST_BYTES
-    _sha3 = hashlib.sha3_256
-    state_bytes = state.tobytes()
-    out = bytearray(state_bytes)
-    for col in range(cols):
-        # Per-column byte conversion: one stride-sized buffer at a time
-        # keeps the transient footprint at O(stride), not O(tile).
-        raw = packed[col].tobytes()
-        soff = col * DIGEST_BYTES
-        acc = state_bytes[soff : soff + DIGEST_BYTES]
-        done = words_done
-        for w in range(words):
-            word = raw[w * DIGEST_BYTES : (w + 1) * DIGEST_BYTES]
-            if done == 0:
-                acc = word  # stash the first word; nothing to fold yet
-            else:
-                acc = _sha3(acc + word).digest()
-            done += 1
-        out[soff : soff + DIGEST_BYTES] = acc
-    state[...] = np.frombuffer(bytes(out), dtype=np.uint8).reshape(cols,
-                                                                   DIGEST_BYTES)
-
-
 def compression_calls_for_elements(n_elements: int) -> int:
     """Number of Hash-FU pair operations :func:`hash_elements` performs.
 

@@ -45,20 +45,13 @@ class MerkleTree:
     """
 
     def __init__(self, leaf_digests: Sequence[bytes], pool=None):
-        if isinstance(leaf_digests, (bytes, bytearray, memoryview)):
-            raw = bytes(leaf_digests)
-            if len(raw) == 0 or len(raw) % DIGEST_BYTES:
-                raise ValueError("packed leaves must be a non-empty multiple "
-                                 "of the digest size")
-            n = len(raw) // DIGEST_BYTES
-        else:
-            leaves = list(leaf_digests)
-            if not leaves:
-                raise ValueError("Merkle tree needs at least one leaf")
-            n = len(leaves)
-            raw = b"".join(leaves)
-            if len(raw) != n * DIGEST_BYTES:
-                raise ValueError("every leaf digest must be 32 bytes")
+        leaves = list(leaf_digests)
+        if not leaves:
+            raise ValueError("Merkle tree needs at least one leaf")
+        n = len(leaves)
+        raw = b"".join(leaves)
+        if len(raw) != n * DIGEST_BYTES:
+            raise ValueError("every leaf digest must be 32 bytes")
         size = 1 if n == 1 else 1 << (n - 1).bit_length()
         if size > n:
             raw += _EMPTY_LEAF * (size - n)

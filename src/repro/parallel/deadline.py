@@ -8,21 +8,25 @@ entry, every dispatch wait in :class:`~repro.parallel.pool.ProverPool`)
 call :func:`check_deadline`, which raises
 :class:`~repro.errors.ProverTimeoutError` once the budget is spent.
 
-The active deadline is module state, matching the single-threaded
-prover.  Scopes nest: an inner scope can only *tighten* the deadline
-(its expiry is clamped to the enclosing one), so a per-job budget inside
-a batch budget never extends the batch.
+The active deadline lives in a :class:`contextvars.ContextVar`, so each
+thread (and each asyncio task) sees only the deadline its own job
+installed: concurrent service jobs neither cancel nor clamp one another.
+Scopes nest: an inner scope can only *tighten* the deadline (its expiry
+is clamped to the enclosing one), so a per-job budget inside a batch
+budget never extends the batch.
 
-The fast path is one ``is None`` check — proving without a deadline pays
-nothing.  Worker processes inherit no deadline; the parent enforces
-dispatch-level budgets by bounding its waits with :func:`remaining`
-(see ``ProverPool._supervised_map``) and killing workers that overrun.
+The fast path is one context-variable lookup and an ``is None`` check —
+proving without a deadline pays next to nothing.  Worker processes
+inherit no deadline; the parent enforces dispatch-level budgets by
+bounding its waits with :func:`remaining` (see
+``ProverPool._supervised_map``) and killing workers that overrun.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Iterator, Optional
 
 from ..errors import ProverTimeoutError
@@ -67,25 +71,28 @@ class Deadline:
                                      budget_s=self.budget_s, phase=phase)
 
 
-#: The active deadline (None = unbounded); module state like the tracer.
-_ACTIVE: Optional[Deadline] = None
+#: The deadline in force in the current context (None = unbounded).
+_ACTIVE: ContextVar[Optional[Deadline]] = ContextVar("repro_deadline",
+                                                     default=None)
 
 
 def active_deadline() -> Optional[Deadline]:
     """The deadline currently in force, or None."""
-    return _ACTIVE
+    return _ACTIVE.get()
 
 
 def remaining() -> Optional[float]:
     """Seconds left on the active deadline, or None when unbounded."""
-    return None if _ACTIVE is None else _ACTIVE.remaining()
+    deadline = _ACTIVE.get()
+    return None if deadline is None else deadline.remaining()
 
 
 def check_deadline(phase: str = "") -> None:
     """Cooperative cancellation point: no-op when no deadline is active,
     raises :class:`~repro.errors.ProverTimeoutError` once expired."""
-    if _ACTIVE is not None:
-        _ACTIVE.check(phase)
+    deadline = _ACTIVE.get()
+    if deadline is not None:
+        deadline.check(phase)
 
 
 @contextmanager
@@ -99,16 +106,15 @@ def deadline_scope(budget_s: Optional[float],
     set above them.  The previous deadline is restored on exit even when
     the block raises.
     """
-    global _ACTIVE
+    prev = _ACTIVE.get()
     if budget_s is None:
-        yield _ACTIVE
+        yield prev
         return
     deadline = Deadline(budget_s, label=label)
-    prev = _ACTIVE
     if prev is not None and prev.expires_at < deadline.expires_at:
         deadline.expires_at = prev.expires_at
-    _ACTIVE = deadline
+    token = _ACTIVE.set(deadline)
     try:
         yield deadline
     finally:
-        _ACTIVE = prev
+        _ACTIVE.reset(token)

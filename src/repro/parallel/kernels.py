@@ -30,7 +30,7 @@ import numpy as np
 import os as _os
 
 from .. import obs
-from ..hashing.fieldhash import DIGEST_BYTES, fold_chunk, hash_columns
+from ..hashing.fieldhash import DIGEST_BYTES, hash_columns
 from . import shm
 
 
@@ -162,19 +162,6 @@ def hash_layer_chunk_shm(in_desc, out_desc, lo: int, hi: int) -> None:
                     pairs[2 * i : 2 * i + 2 * DIGEST_BYTES]).digest()
             raw_out[lo * DIGEST_BYTES : hi * DIGEST_BYTES] = \
                 np.frombuffer(bytes(out), dtype=np.uint8)
-
-
-def fold_chunk_shm(tile_desc, state_desc, lo: int, hi: int,
-                   tile_rows: int, words_done: int) -> None:
-    """Streaming column-hash fold: chain columns ``lo:hi`` of a codeword
-    row tile into the shared per-column chain state (see
-    :class:`~repro.hashing.fieldhash.ColumnChainHasher`)."""
-    _maybe_fault("fold", desc=tile_desc)
-    with obs.span("worker.merkle_fold", "merkle", cols=hi - lo):
-        with shm.attached(tile_desc) as tile, shm.attached(state_desc) as st:
-            fold_chunk(st[lo:hi],
-                       np.ascontiguousarray(tile[:tile_rows, lo:hi]),
-                       words_done)
 
 
 #: Worker-resident proving keys, keyed by broadcast token.  A key is

@@ -11,9 +11,6 @@ CPU-bound Python/numpy, so threads would serialize on the GIL):
   hashing, chunked by column / node range,
 * :meth:`encode_rows` — per-row Reed-Solomon NTT encodes, chunked by row
   range,
-* :meth:`stream_encode_hash` — the tiled commit pipeline: row tiles are
-  encoded into a shared ring buffer and folded straight into per-column
-  hash chains, so the full codeword matrix is never materialized,
 * :meth:`run` — the generic ordered fan-out used by
   :func:`repro.snark.api.prove_many` for independent proof jobs.
 
@@ -103,13 +100,6 @@ DEFAULT_DISPATCH_COST_S = 1e-3
 EST_ENCODE_S_PER_CELL = 2.5e-7    # per message matrix cell (NTT amortized)
 EST_HASH_S_PER_CELL = 3.0e-7      # per matrix cell hashed into a leaf
 EST_LAYER_S_PER_NODE = 1.2e-6     # per Merkle combine output node
-
-#: Row tiles of the streaming commit pipeline (multiple of the 4-element
-#: hash word so chain folds never straddle a tile boundary; sized so the
-#: NTT's transient temporaries stay far below the avoided matrix).
-STREAM_TILE_ROWS = 16
-#: Ring slots reused across tiles (allocate-once, stream-forever).
-STREAM_RING_SLOTS = 2
 
 
 @dataclass(frozen=True)
@@ -750,82 +740,14 @@ class ProverPool:
             self._degraded("merkle_layer", exc)
             return None
 
-    # -- streaming commit pipeline -----------------------------------------
-    def stream_encode_hash(self, code, matrix: np.ndarray,
-                           tile_rows: int = STREAM_TILE_ROWS) -> bytes:
-        """Tiled RS-encode + column-hash without the full codeword matrix.
+    def stream_encode_hash(self, code, matrix: np.ndarray) -> bytes:
+        """Flat leaf digests of the encoded matrix.
 
-        Encodes ``tile_rows``-row tiles of the message matrix into a
-        shared ring buffer (slots reused round-robin) and folds each tile
-        straight into per-column hash chains; returns the flat leaf
-        digests :func:`~repro.hashing.fieldhash.hash_columns` would have
-        produced for the full codeword matrix.  Peak transient memory is
-        ``O(ring slots * tile bytes + 32 bytes/column)`` regardless of
-        the committed table size.
-
-        Serial pools run the identical tile loop inline (no shm); either
-        way the digests are byte-identical to the one-shot path.
+        Kept only as a name: ``perfbench/layers.py`` wraps this method
+        through ``ProverPool.__dict__`` for its traced run and fails with
+        a ``KeyError`` if it is missing.  Nothing in the library calls it.
         """
-        matrix = np.asarray(matrix, dtype=np.uint64)
-        rows, msg_cols = matrix.shape
-        cw_len = code.codeword_length(msg_cols)
-        tile_rows = max(fieldhash.ELEMENTS_PER_WORD,
-                        (tile_rows // fieldhash.ELEMENTS_PER_WORD)
-                        * fieldhash.ELEMENTS_PER_WORD)
-        chains = fieldhash.ColumnChainHasher(cw_len, rows)
-        tile_bytes = tile_rows * cw_len * 8
-        _METRICS.gauge("pcs.stream_tile_bytes", tile_bytes)
-        if self.is_serial or not self.use_shm:
-            for lo in range(0, rows, tile_rows):
-                hi = min(rows, lo + tile_rows)
-                chains.update(code.encode_rows(matrix[lo:hi]))
-            return chains.finalize()
-        try:
-            self.warm()
-            arena = self.arena()
-            slots = [arena.alloc_array((tile_rows, cw_len), "uint64")
-                     for _ in range(STREAM_RING_SLOTS)]
-            state_desc = arena.alloc_array((cw_len, fieldhash.DIGEST_BYTES),
-                                           "uint8")
-            try:
-                col_ranges = self.chunk_ranges(cw_len,
-                                               MIN_HASH_COLS_PER_CHUNK)
-                for t, lo in enumerate(range(0, rows, tile_rows)):
-                    hi = min(rows, lo + tile_rows)
-                    slot = slots[t % STREAM_RING_SLOTS]
-                    # Encode the tile's rows into the ring slot...
-                    row_ranges = self.chunk_ranges(hi - lo,
-                                                   MIN_ENCODE_ROWS_PER_CHUNK)
-                    in_desc = arena.share_array(matrix[lo:hi])
-                    try:
-                        self.run(kernels.encode_chunk_shm,
-                                 [(code, in_desc, slot, rlo, rhi)
-                                  for rlo, rhi in row_ranges])
-                    finally:
-                        arena.free(in_desc)
-                    # ...and fold it into the shared chain state by columns.
-                    self.run(kernels.fold_chunk_shm,
-                             [(slot, state_desc, clo, chi, hi - lo,
-                               chains.words_done) for clo, chi in col_ranges])
-                    chains.state[...] = arena.view(state_desc)
-                    chains.rows_fed += hi - lo
-                    chains.words_done += -(-(hi - lo)
-                                           // fieldhash.ELEMENTS_PER_WORD)
-                return chains.finalize()
-            finally:
-                for slot in slots:
-                    arena.free(slot)
-                arena.free(state_desc)
-        except (WorkerCrashError, shm.ShmError) as exc:
-            # A chain fold may have been half-applied when the fleet
-            # died, so the partial state is unusable: restart from a
-            # fresh hasher and run the identical tile loop in-process.
-            self._degraded("stream_commit", exc)
-            chains = fieldhash.ColumnChainHasher(cw_len, rows)
-            for lo in range(0, rows, tile_rows):
-                hi = min(rows, lo + tile_rows)
-                chains.update(code.encode_rows(matrix[lo:hi]))
-            return chains.finalize()
+        return b"".join(self.hash_columns(self.encode_rows(code, matrix)))
 
 
 # ---------------------------------------------------------------------------

@@ -45,26 +45,14 @@ from ..hashing.merkle import (
     open_many,
     verify_many,
 )
-from ..hashing.fieldhash import ColumnChainHasher, hash_columns
+from ..hashing.fieldhash import hash_columns
 from ..hashing.transcript import Transcript
 from ..multilinear.mle import combine_rows, eq_table
 from ..obs import span as _span
-from ..obs.metrics import METRICS as _METRICS
 
 #: Paper parameters (Sec. VII-A).
 DEFAULT_ROWS = 128
 DEFAULT_PROXIMITY_VECTORS = 4
-
-#: Codeword matrices at or above this many cells are committed with the
-#: streaming (tiled) pipeline instead of materializing the full matrix —
-#: at paper geometry this kicks in around 2^19 constraints, keeping the
-#: 2^20 bench sweep's peak RSS bounded.
-DEFAULT_STREAMING_CELLS = 1 << 21
-
-#: Message rows per streaming tile (multiple of the 4-element hash word;
-#: small enough that the NTT's ~3-4x transient temporaries stay well
-#: under the codeword matrix the streaming path avoids).
-STREAM_TILE_ROWS = 16
 
 
 @dataclass
@@ -95,11 +83,10 @@ class OrionCommitment:
 
 @dataclass
 class _ProverState:
-    matrix: np.ndarray                  # (rows [+1 mask], cols) message matrix
-    codewords: Optional[np.ndarray]     # (rows [+1 mask], blowup*cols);
-    tree: MerkleTree                    # None when committed streaming
+    matrix: np.ndarray          # (rows [+1 mask], cols) message matrix
+    codewords: np.ndarray       # (rows [+1 mask], blowup*cols)
+    tree: MerkleTree
     has_mask: bool
-    streaming: bool = False
 
 
 @dataclass
@@ -134,8 +121,7 @@ class OrionPCS:
     def __init__(self, code: Optional[LinearCode] = None,
                  params: Optional[PCSParams] = None,
                  rng: Optional[np.random.Generator] = None,
-                 pool=None,
-                 streaming_cells: int = DEFAULT_STREAMING_CELLS):
+                 pool=None):
         self.code = code or ReedSolomonCode()
         self.params = params or PCSParams()
         self._rng = rng or np.random.default_rng()
@@ -143,10 +129,6 @@ class OrionPCS:
         #: commit-side hot kernels (row encodes, column/layer hashing) fan
         #: out across its workers.  Proof bytes do not depend on it.
         self.pool = pool
-        #: Codeword-cell threshold above which :meth:`commit` streams row
-        #: tiles instead of materializing the codeword matrix (tests set
-        #: this low to exercise the path at small sizes).
-        self.streaming_cells = streaming_cells
 
     # -- commit ---------------------------------------------------------------
     def commit(self, table: np.ndarray,
@@ -167,9 +149,6 @@ class OrionPCS:
                 # fan-out, so randomness never depends on worker count.
                 mask = fv.rand_vector(cols, self._rng).reshape(1, cols)
                 matrix = np.vstack([matrix, mask])
-            cw_len = self.code.codeword_length(cols)
-            if matrix.shape[0] * cw_len >= self.streaming_cells:
-                return self._commit_streaming(matrix, n, rows, cols, pool)
             with _span("rs.encode", "rs_encode",
                        rows=matrix.shape[0], cols=cols):
                 codewords = self.code.encode_rows(matrix, pool=pool)
@@ -180,50 +159,10 @@ class OrionPCS:
         return commitment, _ProverState(matrix, codewords, tree,
                                         self.params.zk_mask)
 
-    def _commit_streaming(self, matrix: np.ndarray, n: int, rows: int,
-                          cols: int,
-                          pool) -> tuple[OrionCommitment, _ProverState]:
-        """Tiled commit: encode row tiles and fold them straight into
-        per-column hash chains, never materializing the codeword matrix.
-
-        Peak transient memory is one tile of codeword rows (two shared
-        ring slots on the pooled path) plus 32 bytes of chain state per
-        column, so the bench sweep's peak RSS stays bounded as the table
-        grows to 2^20 and beyond.  The leaf digests — and therefore the
-        root and the proof bytes — are byte-identical to the one-shot
-        path (:class:`~repro.hashing.fieldhash.ColumnChainHasher`).
-        """
-        total_rows = matrix.shape[0]
-        cw_len = self.code.codeword_length(cols)
-        _METRICS.inc("pcs.streaming_commits")
-        with _span("pcs.commit.stream", "rs_encode",
-                   rows=total_rows, cw_len=cw_len):
-            if pool is not None:
-                leaves = pool.stream_encode_hash(self.code, matrix)
-            else:
-                chains = ColumnChainHasher(cw_len, total_rows)
-                for lo in range(0, total_rows, STREAM_TILE_ROWS):
-                    hi = min(total_rows, lo + STREAM_TILE_ROWS)
-                    chains.update(self.code.encode_rows(matrix[lo:hi]))
-                leaves = chains.finalize()
-        with _span("merkle.build", "merkle", leaves=cw_len):
-            tree = MerkleTree(leaves, pool=pool)
-        commitment = OrionCommitment(
-            root=tree.root, table_len=n, num_rows=rows, num_cols=cols)
-        return commitment, _ProverState(matrix, None, tree,
-                                        self.params.zk_mask, streaming=True)
-
     # -- open -----------------------------------------------------------------
     def open(self, state: _ProverState, commitment: OrionCommitment,
-             point: Sequence[int], transcript: Transcript,
-             pool=None) -> OrionEvalProof:
-        """Produce an evaluation proof for P~(point); mutates the transcript.
-
-        For a streaming commitment (no materialized codeword matrix) the
-        queried columns are regenerated by re-encoding row tiles — one
-        extra encode pass traded for never holding the full matrix.
-        """
-        pool = pool if pool is not None else self.pool
+             point: Sequence[int], transcript: Transcript) -> OrionEvalProof:
+        """Produce an evaluation proof for P~(point); mutates the transcript."""
         rows, cols = commitment.num_rows, commitment.num_cols
         if (1 << len(point)) != commitment.table_len:
             raise ValueError("point dimension does not match committed table")
@@ -258,31 +197,11 @@ class OrionPCS:
                 b"pcs/queries", self.code.num_queries, codeword_len)
             with _span("merkle.open", "merkle", queries=len(indices)):
                 multiproof = open_many(state.tree, indices)
-                if state.codewords is not None:
-                    opened = state.codewords[:, multiproof.indices]
-                else:
-                    opened = self._gather_columns_streaming(
-                        state.matrix, multiproof.indices, pool)
+                opened = state.codewords[:, multiproof.indices]
                 columns = [np.ascontiguousarray(opened[:, k])
                            for k in range(opened.shape[1])]
         return OrionEvalProof(proximity_rows, eval_row, indices, columns,
                               multiproof)
-
-    def _gather_columns_streaming(self, matrix: np.ndarray,
-                                  indices: Sequence[int],
-                                  pool) -> np.ndarray:
-        """Queried codeword columns of a streaming commitment, regenerated
-        tile by tile (bit-identical to slicing the materialized matrix)."""
-        total_rows = matrix.shape[0]
-        qidx = np.asarray(indices, dtype=np.int64)
-        out = np.empty((total_rows, len(qidx)), dtype=np.uint64)
-        with _span("pcs.open.stream_gather", "rs_encode",
-                   rows=total_rows, queries=len(qidx)):
-            for lo in range(0, total_rows, STREAM_TILE_ROWS):
-                hi = min(total_rows, lo + STREAM_TILE_ROWS)
-                tile = self.code.encode_rows(matrix[lo:hi], pool=pool)
-                out[lo:hi] = tile[:, qidx]
-        return out
 
     def evaluate_from_row(self, eval_row: np.ndarray,
                           point: Sequence[int], num_rows: int) -> int:

@@ -16,6 +16,10 @@ import numpy as np
 from ..field import vector as fv
 from ..field.goldilocks import MODULUS
 
+#: Non-zeros per :meth:`SparseMatrix.matvec` block.  Bounds the SpMV's
+#: transient working set; large enough that per-block overhead is noise.
+_BLOCK_NNZ = 1 << 18
+
 
 class SparseMatrix:
     """COO sparse matrix over GF(p) with fast modular SpMV."""
@@ -100,10 +104,14 @@ class SparseMatrix:
 
     def _group_plan(self):
         """Lazy gather plan for :meth:`matvec`: a permutation bringing the
-        entries into row order, segment starts for ``np.add.reduceat``, and
-        the distinct row ids.  ``order`` is None when the entries are
-        already row-sorted (the :meth:`from_arrays` invariant), skipping
-        the permutation pass entirely."""
+        entries into row order, segment starts for ``np.add.reduceat``, the
+        distinct row ids, and the row-aligned blocks.  ``order`` is None
+        when the entries are already row-sorted (the :meth:`from_arrays`
+        invariant), skipping the permutation entirely.
+
+        Each block is ``(s0, s1)``, a range of segments (non-empty rows)
+        whose non-zeros ``starts[s0]:starts[s1]`` number at most
+        :data:`_BLOCK_NNZ`; a row longer than that is a block of its own."""
         if self._groups is None:
             rows = self.rows
             if len(rows) == 0 or np.all(rows[:-1] <= rows[1:]):
@@ -114,41 +122,69 @@ class SparseMatrix:
             new_group = np.empty(len(sorted_rows), dtype=bool)
             new_group[0] = True
             new_group[1:] = np.diff(sorted_rows) != 0
-            starts = np.flatnonzero(new_group)
-            self._groups = (order, starts, sorted_rows[starts])
+            starts = np.append(np.flatnonzero(new_group), len(sorted_rows))
+            blocks = []
+            s0 = 0
+            while s0 < len(starts) - 1:
+                s1 = int(np.searchsorted(starts, starts[s0] + _BLOCK_NNZ,
+                                         side="right")) - 1
+                s1 = max(s1, s0 + 1)
+                blocks.append((s0, s1))
+                s0 = s1
+            self._groups = (order, starts, sorted_rows[starts[:-1]], blocks)
         return self._groups
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Exact y = M x over GF(p).
 
-        The scatter-add is a segmented ``np.add.reduceat`` over the
-        row-sorted products: the 32-bit halves of each product are
-        accumulated separately (uint64 holds up to 2^32 such terms), then
-        recombined by :func:`repro.field.vector.combine_halves` (exact for
-        the raw half-sums — no per-half canonicalization needed).
+        The non-zeros are processed in row-aligned blocks of about
+        :data:`_BLOCK_NNZ` entries, so the transients (gathered operands,
+        products, half-sums) are a fixed multiple of one block rather
+        than O(nnz) — the software analogue of NoCap's output-stationary
+        SpMV unit streaming non-zeros through fixed buffers (Sec. V-A).
+        Within a block the scatter-add is a segmented ``np.add.reduceat``
+        over the row-sorted products: the 32-bit halves of each product
+        are accumulated separately (uint64 holds up to 2^32 such terms),
+        then recombined by :func:`repro.field.vector.combine_halves`
+        (exact for the raw half-sums — no per-half canonicalization
+        needed).
         """
         x = np.asarray(x, dtype=np.uint64)
         if x.shape[0] != self.num_cols:
             raise ValueError(f"vector length {x.shape[0]} != num_cols {self.num_cols}")
         if self.nnz == 0:
             return np.zeros(self.num_rows, dtype=np.uint64)
+        order, starts, row_ids, blocks = self._group_plan()
+        # When every row has an entry, row_ids is 0..num_rows-1, so
+        # segment s IS output row s: no zero fill, no scatter.
+        dense = len(row_ids) == self.num_rows
+        out = (np.empty if dense else np.zeros)(self.num_rows, dtype=np.uint64)
+        for s0, s1 in blocks:
+            out[slice(s0, s1) if dense else row_ids[s0:s1]] = \
+                self._block_sums(x, order, starts, s0, s1)
+        return out
+
+    def _block_sums(self, x: np.ndarray, order, starts: np.ndarray,
+                    s0: int, s1: int) -> np.ndarray:
+        """Row sums of one block (segments ``s0:s1``).  A function of its
+        own so the block's temporaries are freed before the next block
+        allocates."""
+        p0, p1 = int(starts[s0]), int(starts[s1])
+        if order is None:
+            vals, xg = self.vals[p0:p1], x[self.cols[p0:p1]]
+        else:
+            idx = order[p0:p1]
+            xg = x[self.cols[idx]]
+            vals = self.vals[idx]
         # Non-canonical representatives are fine: the split-accumulate
         # below is exact for any uint64 terms.
-        prods = fv.mul(self.vals, x[self.cols], canonical=False)
-        order, starts, row_ids = self._group_plan()
-        if order is not None:
-            prods = prods[order]
+        prods = fv.mul(vals, xg, canonical=False)
+        del vals, xg  # only the products are needed from here on
         lo_half, hi_half = fv.halves(prods)
-        lo = np.add.reduceat(lo_half, starts, dtype=np.uint64)
-        hi = np.add.reduceat(hi_half, starts, dtype=np.uint64)
-        combined = fv.combine_halves(lo, hi)
-        if len(row_ids) == self.num_rows:
-            # Every row has at least one entry: row_ids is 0..num_rows-1
-            # in order, so the segment sums ARE the output.
-            return combined
-        out = np.zeros(self.num_rows, dtype=np.uint64)
-        out[row_ids] = combined
-        return out
+        seg = starts[s0:s1] - p0
+        lo = np.add.reduceat(lo_half, seg, dtype=np.uint64)
+        hi = np.add.reduceat(hi_half, seg, dtype=np.uint64)
+        return fv.combine_halves(lo, hi)
 
     def transpose_matvec(self, x: np.ndarray) -> np.ndarray:
         """Exact y = M^T x over GF(p).
@@ -241,6 +277,10 @@ class StackedMatrices:
             raise ValueError("need one coefficient per stacked matrix")
         # The scaled copies only feed the matvec's gather-multiply, which
         # accepts any uint64 representative — skip canonicalization.
-        scaled = np.concatenate(
-            [fv.mul_scalar(x, int(c), canonical=False) for c in coeffs])
+        x = np.asarray(x, dtype=np.uint64)
+        n = len(x)
+        scaled = np.empty(self.count * n, dtype=np.uint64)
+        for i, c in enumerate(coeffs):
+            scaled[i * n:(i + 1) * n] = fv.mul_scalar(x, int(c),
+                                                      canonical=False)
         return self._transposed.matvec(scaled)

@@ -160,8 +160,7 @@ class SpartanProver:
                 w_eval = mle_eval(wit_half, w_point)
                 tr.absorb_field(label + b"/w-eval", w_eval)
                 pcs_proof = self.pcs.open(state, commitment, w_point,
-                                          tr.fork(label + b"/pcs"),
-                                          pool=self.pool)
+                                          tr.fork(label + b"/pcs"))
                 reps.append(RepetitionProof(sc1_rounds, va, vb, vc, sc2,
                                             w_eval, pcs_proof))
         return SpartanProof(commitment, reps)

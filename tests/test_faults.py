@@ -13,6 +13,8 @@ segment either way.
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -157,6 +159,70 @@ class TestDeadline:
                 pass
             assert active_deadline() is outer
         assert active_deadline() is None
+
+
+def _run_threads(*targets, timeout_s: float = 10.0) -> None:
+    threads = [threading.Thread(target=t) for t in targets]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout_s)
+        assert not t.is_alive(), "deadline thread did not finish"
+
+
+class TestConcurrentDeadlines:
+    """Deadlines of jobs running on different threads (``repro serve
+    --job-slots N``) must neither cancel nor clamp one another."""
+
+    def test_scope_exit_keeps_other_jobs_deadline(self):
+        # Job A opens a long scope; job B opens a 0.05 s scope; A leaves
+        # its scope while B is still running.  B must still time out.
+        a_in, b_in, a_out = (threading.Event() for _ in range(3))
+        seen = {}
+
+        def job_a():
+            with deadline_scope(60.0):
+                a_in.set()
+                b_in.wait(5)
+            a_out.set()
+
+        def job_b():
+            a_in.wait(5)
+            with deadline_scope(0.05):
+                b_in.set()
+                a_out.wait(5)
+                time.sleep(0.1)
+                try:
+                    check_deadline("job b")
+                except ProverTimeoutError as exc:
+                    seen["b"] = exc
+
+        _run_threads(job_a, job_b)
+        assert isinstance(seen.get("b"), ProverTimeoutError)
+
+    def test_new_job_not_clamped_to_other_jobs_expiry(self):
+        # Job A's scope is already spent when job B starts; B's own
+        # 60 s budget must stand.
+        a_in, b_done = threading.Event(), threading.Event()
+        seen = {}
+
+        def job_a():
+            with deadline_scope(0.0):
+                a_in.set()
+                b_done.wait(5)
+
+        def job_b():
+            a_in.wait(5)
+            with deadline_scope(60.0) as d:
+                seen["remaining"] = remaining()
+                seen["expired"] = d.expired
+                check_deadline("job b")
+                seen["passed"] = True
+            b_done.set()
+
+        _run_threads(job_a, job_b)
+        assert seen == {"remaining": pytest.approx(60.0, abs=5.0),
+                        "expired": False, "passed": True}
 
 
 class TestProveTimeout:

@@ -457,87 +457,6 @@ class TestNoShmFallback:
         assert shared_digests == pickled_digests
 
 
-class TestStreamingCommit:
-    def _pcs(self, streaming_cells, num_rows=16, pool=None, seed=3):
-        from repro.pcs.orion import OrionPCS, PCSParams
-
-        return OrionPCS(params=PCSParams(num_rows=num_rows),
-                        rng=np.random.default_rng(seed),
-                        pool=pool, streaming_cells=streaming_cells)
-
-    def test_chain_hasher_matches_hash_columns(self):
-        rng = np.random.default_rng(41)
-        for rows, cols, tiles in [(1, 3, [1]), (4, 8, [4]), (10, 6, [8, 2]),
-                                  (17, 5, [8, 8, 1]), (32, 12, [16, 16])]:
-            matrix = rng.integers(0, 1 << 63, size=(rows, cols),
-                                  dtype=np.uint64)
-            chains = fieldhash.ColumnChainHasher(cols, rows)
-            lo = 0
-            for t in tiles:
-                chains.update(matrix[lo : lo + t])
-                lo += t
-            assert chains.finalize() == b"".join(
-                fieldhash.hash_columns(matrix))
-
-    def test_chain_hasher_rejects_bad_geometry(self):
-        chains = fieldhash.ColumnChainHasher(4, 16)
-        with pytest.raises(ValueError):
-            chains.update(np.zeros((3, 4), dtype=np.uint64))  # partial word
-        with pytest.raises(ValueError):
-            chains.finalize()  # not all rows fed
-
-    def test_streaming_commit_matches_materialized(self):
-        rng = np.random.default_rng(43)
-        table = rng.integers(0, 1 << 63, size=1 << 10, dtype=np.uint64)
-        materialized = self._pcs(streaming_cells=1 << 60)
-        streaming = self._pcs(streaming_cells=1)
-        com_a, state_a = materialized.commit(table)
-        com_b, state_b = streaming.commit(table)
-        assert state_a.codewords is not None and not state_a.streaming
-        assert state_b.codewords is None and state_b.streaming
-        assert com_a.root == com_b.root
-
-    def test_streaming_proof_bytes_identical(self, instance, pool):
-        """End-to-end: a prover whose PCS streams produces the same proof
-        bytes, and the verifier accepts them."""
-        from repro.hashing.transcript import Transcript
-
-        rng = np.random.default_rng(47)
-        table = rng.integers(0, 1 << 63, size=1 << 10, dtype=np.uint64)
-        point = [int(x) for x in rng.integers(0, 1 << 61, size=10)]
-        com_m, st_m = self._pcs(1 << 60).commit(table)
-        proof_m = self._pcs(1 << 60).open(st_m, com_m, point, Transcript())
-        for pcs_pool in (None, pool):
-            pcs = self._pcs(1, pool=pcs_pool)
-            com_s, st_s = pcs.commit(table)
-            proof_s = pcs.open(st_s, com_s, point, Transcript())
-            assert com_s.root == com_m.root
-            assert np.array_equal(proof_s.eval_row, proof_m.eval_row)
-            assert all(np.array_equal(a, b) for a, b in
-                       zip(proof_s.columns, proof_m.columns))
-            value = pcs.evaluate_from_row(proof_s.eval_row, point,
-                                          com_s.num_rows)
-            assert pcs.verify(com_s, point, value, proof_s, Transcript())
-
-    def test_streaming_bounds_peak_memory_at_2_18(self):
-        """At 2^18 the streaming commit must allocate well under the full
-        codeword matrix it avoids materializing."""
-        import tracemalloc
-
-        rng = np.random.default_rng(53)
-        table = rng.integers(0, 1 << 63, size=1 << 18, dtype=np.uint64)
-        pcs = self._pcs(streaming_cells=1, num_rows=128, seed=5)
-        rows = 128 + 1  # + zk mask row
-        cw_bytes = rows * pcs.code.codeword_length((1 << 18) // 128) * 8
-        tracemalloc.start()
-        _, state = pcs.commit(table)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert state.codewords is None
-        assert peak < 0.75 * cw_bytes, \
-            f"streaming peak {peak} not bounded vs {cw_bytes}"
-
-
 class TestPersistentPool:
     def test_get_pool_reuses_and_shutdown_clears(self):
         from repro.parallel import get_pool, shutdown

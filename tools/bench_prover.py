@@ -26,8 +26,8 @@ not assumed — on a single-core machine they will sit at or below 1.0 and
 the JSON says so; the sweep exists to track the trajectory on real
 multicore hardware.
 
-Since schema_version 4 every size row records the process peak RSS (the
-streaming commit keeps it bounded through the 2^20 sweep), and the
+Since schema_version 4 every size row records the process peak RSS (at
+2^20 it is dominated by building the workload, not by proving), and the
 workers sweep carries a ``dispatch`` block per worker count: pool warm-up
 wall time, the measured per-task dispatch cost from the one-shot probe,
 and bytes shared through :mod:`repro.parallel.shm` vs bytes pickled
@@ -172,8 +172,8 @@ def bench_size(log_size: int, num_rows: int, repeats: int,
         "verify_s": round(verify_s, 6),
         "proof_size_bytes": proof.size_bytes(),
         "verified": True,
-        # Cumulative process high-water mark AFTER this size completed;
-        # the streaming commit keeps its growth bounded as sizes scale.
+        # Cumulative process high-water mark AFTER this size completed
+        # (workload construction, not proving, sets it at large sizes).
         "peak_rss_bytes": peak_rss_bytes(),
         "phase_seconds": {fam: round(s, 6) for fam, s in
                           sorted(tracer.family_seconds().items())},
