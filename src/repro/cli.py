@@ -8,7 +8,7 @@ area         Print the Table II area breakdown.
 sensitivity  Print the Fig. 7 sensitivity sweep.
 prove        Build, prove and verify a demo workload circuit; ``--out``
              writes the proof as a self-describing envelope, ``--workers``
-             fans the prover kernels across processes.
+             hashes the Merkle leaves across processes.
 verify       Verify a proof envelope written by ``prove --out`` (exit
              codes per docs/ROBUSTNESS.md).
 trace        Prove a workload under the tracer, simulate it on NoCap, and
@@ -561,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="security preset (default %(default)s)")
     workers_p = argparse.ArgumentParser(add_help=False)
     workers_p.add_argument("--workers", type=int, default=None, metavar="N",
-                           help="fan prover kernels out across N worker "
+                           help="hash Merkle leaves across N worker "
                                 "processes (proof bytes are identical at "
                                 "any N)")
     timeout_p = argparse.ArgumentParser(add_help=False)

@@ -29,18 +29,14 @@ class LinearCode(abc.ABC):
     def encode(self, message: np.ndarray) -> np.ndarray:
         """Encode one message vector (power-of-two length) into a codeword."""
 
-    def encode_rows(self, matrix: np.ndarray, pool=None) -> np.ndarray:
+    def encode_rows(self, matrix: np.ndarray) -> np.ndarray:
         """Encode each row of a 2-D matrix; returns (rows, blowup * cols).
 
         Generic per-row fallback; codes whose encoder batches along leading
         axes (e.g. :class:`ReedSolomonCode`) override this with a single
-        batched call.  Rows are independent for any linear code, so a
-        :class:`~repro.parallel.ProverPool` may chunk them across workers
-        with bit-identical results.
+        batched call.
         """
         matrix = np.asarray(matrix, dtype=np.uint64)
-        if pool is not None:
-            return pool.encode_rows(self, matrix)
         out = np.empty((matrix.shape[0], self.blowup * matrix.shape[1]), dtype=np.uint64)
         for i in range(matrix.shape[0]):
             out[i] = self.encode(matrix[i])

@@ -56,22 +56,15 @@ class ReedSolomonCode(LinearCode):
             _METRICS.inc("rs.rows_encoded", rows)
         return poly_eval_domain(message, self.blowup * n)
 
-    def encode_rows(self, matrix: np.ndarray, pool=None) -> np.ndarray:
+    def encode_rows(self, matrix: np.ndarray) -> np.ndarray:
         """Encode every row in ONE batched NTT call.
 
         The radix-2 transform operates along the last axis, so the whole
         (rows, cols) message matrix goes through a single length-4*cols NTT
         — no per-row Python dispatch (the paper's NTT FU processes 64 such
         rows per pass; here one numpy call covers them all).
-
-        With a :class:`~repro.parallel.ProverPool`, row ranges encode on
-        worker processes instead — per-row transforms are independent, so
-        the stacked result is bit-identical to the serial batched call.
         """
-        matrix = np.asarray(matrix, dtype=np.uint64)
-        if pool is not None and matrix.ndim == 2:
-            return pool.encode_rows(self, matrix)
-        return self.encode(matrix)
+        return self.encode(np.asarray(matrix, dtype=np.uint64))
 
     def decode_systematic(self, codeword: np.ndarray) -> np.ndarray:
         """Recover the message from an *uncorrupted* codeword (test helper)."""

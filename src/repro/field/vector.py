@@ -12,6 +12,8 @@ dtype ``uint64``.  Scalars may be passed wherever an array is accepted.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .goldilocks import MODULUS
@@ -146,9 +148,18 @@ def neg(a: np.ndarray) -> np.ndarray:
 #: register-file tiles rather than whole vectors (Sec. IV-A).
 _TILE = 16384
 
-#: Reusable per-tile scratch (single-threaded module state; the kernel
-#: never calls back into user code while a tile is in flight).
-_MUL_SCRATCH = [np.empty(_TILE, dtype=np.uint64) for _ in range(10)]
+#: Reusable per-tile scratch, one set per thread: the proving service
+#: runs jobs on concurrent threads, and a shared set lets one thread's
+#: tile overwrite another's mid-multiply.
+_MUL_SCRATCH = threading.local()
+
+
+def _mul_scratch() -> list:
+    bufs = getattr(_MUL_SCRATCH, "bufs", None)
+    if bufs is None:
+        bufs = _MUL_SCRATCH.bufs = [np.empty(_TILE, dtype=np.uint64)
+                                    for _ in range(10)]
+    return bufs
 
 
 def _mul_tiles(x: np.ndarray, y, out: np.ndarray,
@@ -174,10 +185,11 @@ def _mul_tiles(x: np.ndarray, y, out: np.ndarray,
     if y_scalar:
         b_lo_s = y & _MASK32
         b_hi_s = y >> _SHIFT32
+    scratch = _mul_scratch()
     for start in range(0, len(x), _TILE):
         end = min(start + _TILE, len(x))
         m = end - start
-        al, ah, bl, bh, t0, t1, t2, t3, tc, td = [s[:m] for s in _MUL_SCRATCH]
+        al, ah, bl, bh, t0, t1, t2, t3, tc, td = [s[:m] for s in scratch]
         xa = x[start:end]
         np.bitwise_and(xa, _MASK32, out=al)
         np.right_shift(xa, _SHIFT32, out=ah)

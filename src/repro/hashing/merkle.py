@@ -44,7 +44,7 @@ class MerkleTree:
     is the single root digest.
     """
 
-    def __init__(self, leaf_digests: Sequence[bytes], pool=None):
+    def __init__(self, leaf_digests: Sequence[bytes]):
         leaves = list(leaf_digests)
         if not leaves:
             raise ValueError("Merkle tree needs at least one leaf")
@@ -60,14 +60,6 @@ class MerkleTree:
         _sha3 = hashlib.sha3_256
         current = raw
         while len(current) > DIGEST_BYTES:
-            # Wide layers fan out across pool workers (hash_layer returns
-            # None below its threshold); the combine order is fixed, so
-            # the layer bytes are identical at any worker count.
-            pooled = pool.hash_layer(current) if pool is not None else None
-            if pooled is not None:
-                current = pooled
-                self.layers.append(current)
-                continue
             nxt = bytearray(len(current) // 2)
             for i in range(0, len(nxt), DIGEST_BYTES):
                 nxt[i : i + DIGEST_BYTES] = _sha3(
@@ -92,7 +84,7 @@ class MerkleTree:
         if matrix.ndim != 2:
             raise ValueError("from_columns expects a 2-D matrix")
         if pool is not None:
-            return cls(pool.hash_columns(matrix), pool=pool)
+            return cls(pool.hash_columns(matrix))
         return cls(hash_columns(matrix))
 
     def node(self, level: int, index: int) -> bytes:

@@ -1,8 +1,8 @@
 """Process-pool parallelism for the functional prover.
 
-The prover's hot kernels — Merkle column/layer hashing, per-row
-Reed-Solomon NTT encodes, and whole independent proof jobs — are
-embarrassingly parallel (the very structure NoCap's vector FUs exploit).
+Merkle leaf hashing and whole independent proof jobs are embarrassingly
+parallel (the very structure NoCap's vector FUs exploit), and they are
+the two pieces that measurably pay for process fan-out.
 :class:`ProverPool` fans them out over worker processes with zero-copy
 shared-memory dispatch (:mod:`repro.parallel.shm`) and a serial fallback
 that is bit-identical at any worker count; :func:`get_pool` returns the
@@ -15,7 +15,7 @@ from . import deadline, kernels, shm
 from .deadline import check_deadline, deadline_scope
 from .pool import FaultPolicy, ProverPool, get_pool, shutdown
 from .shm import (ArrayDesc, BlobDesc, ShmArena, ShmError, reclaim_orphans,
-                  scan_orphans, shm_enabled)
+                  scan_orphans)
 
 __all__ = [
     "ProverPool",
@@ -26,7 +26,6 @@ __all__ = [
     "ShmError",
     "ArrayDesc",
     "BlobDesc",
-    "shm_enabled",
     "scan_orphans",
     "reclaim_orphans",
     "check_deadline",

@@ -1,25 +1,24 @@
-"""Process-pool executor for the prover's embarrassingly parallel kernels.
+"""Process-pool executor for the prover's embarrassingly parallel work.
 
 The paper's whole acceleration argument (Sec. IV/V) rests on the
-Spartan+Orion workload being data-parallel: Merkle column hashes are
-independent, per-row RS encodes are independent, and whole proof jobs
-share nothing.  :class:`ProverPool` exploits the same structure in the
-functional layer with a pool of worker *processes* (the kernels are
-CPU-bound Python/numpy, so threads would serialize on the GIL):
+Spartan+Orion workload being data-parallel.  :class:`ProverPool` fans
+out the two pieces of it that measurably pay for process fan-out in the
+functional layer (the kernels are CPU-bound Python/numpy, so threads
+would serialize on the GIL):
 
-* :meth:`hash_columns` / :meth:`hash_layer` — Merkle leaf and layer
-  hashing, chunked by column / node range,
-* :meth:`encode_rows` — per-row Reed-Solomon NTT encodes, chunked by row
-  range,
+* :meth:`hash_columns` — Merkle leaf hashing, chunked by column range
+  (the kernel the Hash FU streams across all columns at once, Sec. IV-B),
 * :meth:`run` — the generic ordered fan-out used by
   :func:`repro.snark.api.prove_many` for independent proof jobs.
 
-Dispatch is **zero-copy** by default: operands live in named
-shared-memory segments (:mod:`repro.parallel.shm`) and workers attach by
+Row encoding and the Merkle layers above the leaves stay in-process: at
+2^20 their pooled paths measured no faster than serial
+(``docs/PERFORMANCE.md``).
+
+Dispatch is **zero-copy**: operands live in named shared-memory segments
+(:mod:`repro.parallel.shm`) and workers attach by
 ``(name, shape, dtype)`` descriptor, writing results into preallocated
-shared output buffers.  ``REPRO_PARALLEL_NO_SHM=1`` falls back to the
-original pickled dispatch (for platforms without usable POSIX shm); both
-paths are bit-identical.
+shared output buffers.
 
 Pools are meant to be **persistent**: :func:`get_pool` returns a lazily
 created process-wide pool that stays warm across ``prove`` /
@@ -31,8 +30,8 @@ whose estimated serial time cannot amortize at least
 inline — fan-out never makes a call slower than serial by more than the
 probe's own noise.
 
-Determinism contract: every kernel chunk is a pure function and results
-are assembled in submission order, so outputs — and therefore proof
+Determinism contract: every chunk is a pure function and results are
+assembled in submission order, so outputs — and therefore proof
 bytes — are **bit-identical at any worker count**, including the serial
 fallback taken when ``workers <= 1`` and the auto-chunk inline fallback.
 
@@ -40,10 +39,10 @@ Dispatch is **supervised** (see :class:`FaultPolicy` and
 ``docs/ROBUSTNESS.md``): worker death, hung dispatches, and in-task
 exceptions are detected by :meth:`ProverPool._supervised_map`, which
 restarts the executor with capped exponential backoff and retries the
-failed chunks.  When the retry budget is exhausted the kernel entry
-points *degrade* — they rerun the whole call on the in-process serial
-path, which is bit-identical, so a crashing worker fleet costs latency
-but never correctness.  Deadlines (:mod:`repro.parallel.deadline`) are
+failed chunks.  When the retry budget is exhausted :meth:`hash_columns`
+and ``prove_many`` *degrade* — they rerun the failed work on the
+in-process serial path, which is bit-identical, so a crashing worker
+fleet costs latency but never correctness.  Deadlines (:mod:`repro.parallel.deadline`) are
 the one thing degradation never overrides: an expired budget raises
 :class:`~repro.errors.ProverTimeoutError` and stops the engine.
 Orphaned shared-memory segments left by SIGKILLed former selves are
@@ -78,13 +77,10 @@ from . import kernels, shm
 from .deadline import check_deadline
 from .deadline import remaining as _deadline_remaining
 
-#: Smallest per-chunk work units below which fan-out overhead (descriptor
-#: dispatch, attach) exceeds the kernel time; chunks never shrink below
-#: these even when the dispatch probe suggests smaller.
-MIN_ENCODE_ROWS_PER_CHUNK = 4
+#: Smallest per-chunk column count below which fan-out overhead
+#: (descriptor dispatch, attach) exceeds the hashing time; chunks never
+#: shrink below it even when the dispatch probe suggests smaller.
 MIN_HASH_COLS_PER_CHUNK = 64
-#: Minimum *output* nodes for a Merkle layer to be worth fanning out.
-MIN_LAYER_NODES = 2048
 
 #: A dispatched chunk must carry at least this many dispatch round-trips
 #: worth of estimated kernel work, or the call stays serial (break-even
@@ -94,12 +90,11 @@ BREAK_EVEN_DISPATCHES = 4.0
 #: Fallback dispatch cost before the probe has run (a conservative 1 ms).
 DEFAULT_DISPATCH_COST_S = 1e-3
 
-#: Calibration constants for the break-even model: rough serial cost per
-#: item element on commodity CPUs.  Order-of-magnitude is all the model
-#: needs — the measured dispatch cost is the precise side of the ratio.
-EST_ENCODE_S_PER_CELL = 2.5e-7    # per message matrix cell (NTT amortized)
-EST_HASH_S_PER_CELL = 3.0e-7      # per matrix cell hashed into a leaf
-EST_LAYER_S_PER_NODE = 1.2e-6     # per Merkle combine output node
+#: Calibration constant for the break-even model: rough serial cost per
+#: matrix cell hashed into a leaf on commodity CPUs.  Order-of-magnitude is
+#: all the model needs — the measured dispatch cost is the precise side of
+#: the ratio.
+EST_HASH_S_PER_CELL = 3.0e-7
 
 
 @dataclass(frozen=True)
@@ -219,12 +214,6 @@ class ProverPool:
         if self.is_serial:
             return False
         return not self.auto_chunk or (os.cpu_count() or 1) >= 2
-
-    @property
-    def use_shm(self) -> bool:
-        """True when this pool dispatches via shared memory (re-read per
-        call so ``REPRO_PARALLEL_NO_SHM`` can flip at runtime)."""
-        return shm.shm_enabled()
 
     @property
     def dispatch_cost_s(self) -> float:
@@ -625,50 +614,13 @@ class ProverPool:
             self._arena.free(entry[2])
 
     # -- kernel-specific entry points --------------------------------------
-    def encode_rows(self, code, matrix: np.ndarray) -> np.ndarray:
-        """Reed-Solomon-encode every matrix row, chunked across workers.
-
-        Falls back to the in-process batched encode when the pool is
-        serial or the break-even model says the matrix is too small to
-        amortize the fan-out.  The shm path shares the message matrix
-        once and has workers write into a preallocated shared codeword
-        buffer; only descriptors cross the pipe.
-        """
-        matrix = np.asarray(matrix, dtype=np.uint64)
-        rows = matrix.shape[0] if matrix.ndim == 2 else 0
-        if self.is_serial or rows < 2 * MIN_ENCODE_ROWS_PER_CHUNK:
-            return code.encode_rows(matrix)
-        ranges = self.auto_chunk_ranges(
-            rows, EST_ENCODE_S_PER_CELL * matrix.shape[1],
-            MIN_ENCODE_ROWS_PER_CHUNK)
-        if ranges is None:
-            return code.encode_rows(matrix)
-        try:
-            if not self.use_shm:
-                _METRICS.inc("parallel.bytes_pickled",
-                             matrix.nbytes + code.blowup * matrix.nbytes)
-                parts = self.run(kernels.encode_chunk,
-                                 [(code, matrix[lo:hi])
-                                  for lo, hi in ranges])
-                return np.vstack(parts)
-            arena = self.arena()
-            in_desc = arena.share_array(matrix)
-            out_desc = arena.alloc_array(
-                (rows, code.codeword_length(matrix.shape[1])), "uint64")
-            try:
-                self.run(kernels.encode_chunk_shm,
-                         [(code, in_desc, out_desc, lo, hi)
-                          for lo, hi in ranges])
-                return np.array(arena.view(out_desc))
-            finally:
-                arena.free(in_desc)
-                arena.free(out_desc)
-        except (WorkerCrashError, shm.ShmError) as exc:
-            self._degraded("rs_encode", exc)
-            return code.encode_rows(matrix)
-
     def hash_columns(self, matrix: np.ndarray) -> List[bytes]:
-        """Merkle leaf digests of every matrix column, chunked by column."""
+        """Merkle leaf digests of every matrix column, chunked by column.
+
+        The matrix is shared once and workers write their column range of
+        digests into a preallocated shared ``(cols, 32)`` buffer; only
+        descriptors cross the pipe.
+        """
         matrix = np.asarray(matrix, dtype=np.uint64)
         cols = matrix.shape[1] if matrix.ndim == 2 else 0
         if self.is_serial or cols < 2 * MIN_HASH_COLS_PER_CHUNK:
@@ -679,12 +631,6 @@ class ProverPool:
         if ranges is None:
             return fieldhash.hash_columns(matrix)
         try:
-            if not self.use_shm:
-                _METRICS.inc("parallel.bytes_pickled", matrix.nbytes)
-                parts = self.run(kernels.hash_columns_chunk,
-                                 [(np.ascontiguousarray(matrix[:, lo:hi]),)
-                                  for lo, hi in ranges])
-                return [d for part in parts for d in part]
             arena = self.arena()
             in_desc = arena.share_array(matrix)
             out_desc = arena.alloc_array((cols, fieldhash.DIGEST_BYTES),
@@ -702,51 +648,18 @@ class ProverPool:
             self._degraded("merkle_leaves", exc)
             return fieldhash.hash_columns(matrix)
 
-    def hash_layer(self, raw: bytes) -> Optional[bytes]:
-        """One Merkle layer combine step, chunked by output-node range.
+    # The three methods below are kept only as names: ``perfbench/layers.py``
+    # wraps them through ``ProverPool.__dict__`` for its traced run and
+    # fails with a ``KeyError`` if one is missing.  Row encoding and Merkle
+    # layers do not pay for fan-out (docs/PERFORMANCE.md); nothing in the
+    # library calls these.
+    def encode_rows(self, code, matrix: np.ndarray) -> np.ndarray:
+        return code.encode_rows(matrix)
 
-        Returns ``None`` when the layer is below the fan-out threshold so
-        the caller's serial loop (which also does the metrics accounting)
-        handles it.
-        """
-        out_nodes = len(raw) // (2 * fieldhash.DIGEST_BYTES)
-        if self.is_serial or out_nodes < MIN_LAYER_NODES:
-            return None
-        ranges = self.auto_chunk_ranges(out_nodes, EST_LAYER_S_PER_NODE,
-                                        MIN_LAYER_NODES // self.workers)
-        if ranges is None:
-            return None
-        pair = 2 * fieldhash.DIGEST_BYTES
-        try:
-            if not self.use_shm:
-                _METRICS.inc("parallel.bytes_pickled", len(raw) * 3 // 2)
-                parts = self.run(kernels.hash_layer_chunk,
-                                 [(raw[lo * pair : hi * pair],)
-                                  for lo, hi in ranges])
-                return b"".join(parts)
-            arena = self.arena()
-            in_desc = arena.share_array(np.frombuffer(raw, dtype=np.uint8))
-            out_desc = arena.alloc_array((len(raw) // 2,), "uint8")
-            try:
-                self.run(kernels.hash_layer_chunk_shm,
-                         [(in_desc, out_desc, lo, hi) for lo, hi in ranges])
-                return arena.view(out_desc).tobytes()
-            finally:
-                arena.free(in_desc)
-                arena.free(out_desc)
-        except (WorkerCrashError, shm.ShmError) as exc:
-            # None = "caller's serial loop handles this layer" — the
-            # same degradation contract the size threshold already uses.
-            self._degraded("merkle_layer", exc)
-            return None
+    def hash_layer(self, raw: bytes) -> Optional[bytes]:
+        return None
 
     def stream_encode_hash(self, code, matrix: np.ndarray) -> bytes:
-        """Flat leaf digests of the encoded matrix.
-
-        Kept only as a name: ``perfbench/layers.py`` wraps this method
-        through ``ProverPool.__dict__`` for its traced run and fails with
-        a ``KeyError`` if it is missing.  Nothing in the library calls it.
-        """
         return b"".join(self.hash_columns(self.encode_rows(code, matrix)))
 
 

@@ -1,11 +1,12 @@
 """Zero-copy transfer between prover processes via POSIX shared memory.
 
-The pickled-dispatch path that :class:`~repro.parallel.pool.ProverPool`
-originally used serialized whole witness and codeword matrices into the
-executor pipe for every chunk — at 2^16 constraints a single
-``prove_many`` job shipped a ~27 MB proving key, and the batch path
-measured a 0.32x *slowdown* against serial.  This module replaces the
-pipe with named ``multiprocessing.shared_memory`` segments:
+Pickling whole witness and codeword matrices into the executor pipe for
+every chunk is what made early batch proving slower than serial (at
+2^16 constraints a single ``prove_many`` job shipped a ~27 MB proving
+key, and the batch measured a 0.32x *slowdown*).  Every
+:class:`~repro.parallel.pool.ProverPool` dispatch therefore goes through
+named ``multiprocessing.shared_memory`` segments, which exist on every
+platform Python 3.8+ supports:
 
 * the parent places an ndarray (or a pickled blob) in a segment ONCE and
   hands workers a tiny :class:`ArrayDesc`/:class:`BlobDesc` —
@@ -19,10 +20,6 @@ pipe with named ``multiprocessing.shared_memory`` segments:
   context-manager exit), a module ``atexit`` hook, and a chained SIGTERM
   handler — so the test suite and a killed prover both leave ``/dev/shm``
   empty.
-
-Set ``REPRO_PARALLEL_NO_SHM=1`` to disable the shared-memory path
-entirely (platforms without ``/dev/shm`` semantics); the pool then falls
-back to the original pickled dispatch, which remains bit-identical.
 """
 
 from __future__ import annotations
@@ -42,30 +39,10 @@ import numpy as np
 from ..obs.events import FLIGHT as _FLIGHT
 from ..obs.metrics import METRICS as _METRICS
 
-#: Environment switch for the pickled-dispatch fallback.
-NO_SHM_ENV = "REPRO_PARALLEL_NO_SHM"
-
 
 class ShmError(RuntimeError):
     """A shared-memory segment could not be created, attached, or mapped
     (most commonly: attaching a descriptor whose segment was torn down)."""
-
-
-def shm_supported() -> bool:
-    """True when named shared memory is importable on this platform."""
-    try:
-        from multiprocessing import shared_memory  # noqa: F401
-    except ImportError:  # pragma: no cover - exotic platforms
-        return False
-    return True
-
-
-def shm_enabled() -> bool:
-    """True when the zero-copy path should be used (read per call, so
-    tests and deployments can flip ``REPRO_PARALLEL_NO_SHM`` at runtime)."""
-    if os.environ.get(NO_SHM_ENV, "") == "1":
-        return False
-    return shm_supported()
 
 
 @dataclass(frozen=True)
@@ -177,8 +154,6 @@ class ShmArena:
     """
 
     def __init__(self, prefix: str = "repro"):
-        if not shm_supported():
-            raise ShmError("shared memory is not available on this platform")
         self._prefix = f"{prefix}_{os.getpid()}"
         self._counter = 0
         self._segments: Dict[str, object] = {}  # name -> SharedMemory

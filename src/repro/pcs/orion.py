@@ -125,9 +125,9 @@ class OrionPCS:
         self.code = code or ReedSolomonCode()
         self.params = params or PCSParams()
         self._rng = rng or np.random.default_rng()
-        #: Optional :class:`~repro.parallel.ProverPool`; when set, the
-        #: commit-side hot kernels (row encodes, column/layer hashing) fan
-        #: out across its workers.  Proof bytes do not depend on it.
+        #: Optional :class:`~repro.parallel.ProverPool`; when set, Merkle
+        #: leaf hashing fans out across its workers.  Proof bytes do not
+        #: depend on it.
         self.pool = pool
 
     # -- commit ---------------------------------------------------------------
@@ -151,7 +151,7 @@ class OrionPCS:
                 matrix = np.vstack([matrix, mask])
             with _span("rs.encode", "rs_encode",
                        rows=matrix.shape[0], cols=cols):
-                codewords = self.code.encode_rows(matrix, pool=pool)
+                codewords = self.code.encode_rows(matrix)
             with _span("merkle.build", "merkle", leaves=codewords.shape[1]):
                 tree = MerkleTree.from_columns(codewords, pool=pool)
         commitment = OrionCommitment(

@@ -21,8 +21,8 @@ them — it serializes to a versioned envelope
 and the proof payload over the paper's 10 MB/s link.
 
 Throughput comes from :mod:`repro.parallel`: pass ``workers=N`` (or a
-long-lived :class:`~repro.parallel.ProverPool`) to :func:`prove` to fan
-the commit-side kernels out across processes, or :func:`prove_many` to
+long-lived :class:`~repro.parallel.ProverPool`) to :func:`prove` to hash
+the commitment's Merkle leaves across processes, or :func:`prove_many` to
 run independent proof jobs in parallel.  Proof bytes are bit-identical
 at any worker count.
 
@@ -104,7 +104,7 @@ class ProvingKey:
     def prover(self, rng: Optional[np.random.Generator] = None,
                pool=None) -> SpartanProver:
         """Instantiate the underlying protocol prover (``rng`` feeds the
-        zk-mask; ``pool`` fans out the commit-side kernels)."""
+        zk-mask; ``pool`` fans out Merkle leaf hashing)."""
         return SpartanProver(self.r1cs, self.preset.make_pcs(rng=rng),
                              self.preset.make_spartan_params(), pool=pool)
 
@@ -141,7 +141,7 @@ def _dispatch_mode(pool) -> str:
     """Which dispatch path a pool implies (for flight-recorder reports)."""
     if pool is None or pool.is_serial:
         return "serial"
-    return "shm" if pool.use_shm else "pickle"
+    return "shm"
 
 
 def _observe_phases(tracer, rec0: int, root: str) -> None:
@@ -282,8 +282,7 @@ def prove_many(pk: ProvingKey, jobs: Sequence[Tuple[np.ndarray, np.ndarray]],
     shared memory ONCE (cached across batches on the persistent pool
     from :func:`repro.parallel.get_pool`) and stacks the jobs' public
     inputs and witnesses into two shared arrays, so per-job dispatch
-    ships only a few descriptors instead of re-pickling the key.  Set
-    ``REPRO_PARALLEL_NO_SHM=1`` for the legacy pickled dispatch.
+    ships only a few descriptors instead of re-pickling the key.
 
     Fan-out is skipped when it cannot pay — no pool, one job, or a
     single-core host where CPU-bound jobs would only time-slice
@@ -322,17 +321,16 @@ def prove_many(pk: ProvingKey, jobs: Sequence[Tuple[np.ndarray, np.ndarray]],
     jobs = list(jobs)
     if not jobs:
         return []
-    from ..obs.metrics import METRICS
-    from ..parallel import kernels
-
     seeds = np.random.SeedSequence(base_seed).spawn(len(jobs))
     pubs = [np.asarray(pub, dtype=np.uint64) for pub, _ in jobs]
     wits = [np.asarray(wit, dtype=np.uint64) for _, wit in jobs]
 
     def _serial_job(j):
-        return ProofBundle.from_bytes(
-            kernels.prove_job(pk.r1cs, pk.preset, pubs[j], wits[j],
-                              seeds[j], circuit_id, timeout_s=timeout_s))
+        # The envelope round trip mirrors the worker path byte for byte.
+        bundle = prove(pk, pubs[j], wits[j],
+                       rng=np.random.default_rng(seeds[j]),
+                       circuit_id=circuit_id, timeout_s=timeout_s)
+        return ProofBundle.from_bytes(bundle.to_bytes())
 
     job_id = _FLIGHT.next_job_id()
     seq0 = _FLIGHT.seq
@@ -417,8 +415,7 @@ def prove_many(pk: ProvingKey, jobs: Sequence[Tuple[np.ndarray, np.ndarray]],
     try:
         return _prove_many_pooled(pk, pool, jobs, seeds, pubs, wits,
                                   circuit_id, timeout_s, on_error,
-                                  _serial_job, _finish, _fail, METRICS,
-                                  kernels)
+                                  _serial_job, _finish, _fail)
     except BaseException as exc:
         _FLIGHT.record_job(_batch_report([], pool,
                                          error=type(exc).__name__))
@@ -426,35 +423,25 @@ def prove_many(pk: ProvingKey, jobs: Sequence[Tuple[np.ndarray, np.ndarray]],
 
 
 def _prove_many_pooled(pk, pool, jobs, seeds, pubs, wits, circuit_id,
-                       timeout_s, on_error, _serial_job, _finish, _fail,
-                       METRICS, kernels):
+                       timeout_s, on_error, _serial_job, _finish, _fail):
     """The fan-out body of :func:`prove_many` (split for readability)."""
+    from ..parallel import kernels
+
     with _span("snark.prove_many", "other", jobs=len(jobs),
                workers=pool.workers):
-        if pool.use_shm:
-            arena = pool.arena()
-            token, blob_desc = pool.broadcast(pk)
-            pub_desc = arena.share_array(np.stack(pubs))
-            wit_desc = arena.share_array(np.stack(wits))
-            try:
-                tasks = [(token, blob_desc, pub_desc, wit_desc, j, seed,
-                          circuit_id, timeout_s)
-                         for j, seed in enumerate(seeds)]
-                blobs = pool.run(kernels.prove_job_shm, tasks,
-                                 return_exceptions=True)
-            finally:
-                arena.free(pub_desc)
-                arena.free(wit_desc)
-        else:
-            tasks = [(pk.r1cs, pk.preset, pub, wit, seed, circuit_id,
-                      timeout_s)
-                     for pub, wit, seed in zip(pubs, wits, seeds)]
-            import pickle
-
-            METRICS.inc("parallel.bytes_pickled",
-                        len(jobs) * len(pickle.dumps(pk)))
-            blobs = pool.run(kernels.prove_job, tasks,
+        arena = pool.arena()
+        token, blob_desc = pool.broadcast(pk)
+        pub_desc = arena.share_array(np.stack(pubs))
+        wit_desc = arena.share_array(np.stack(wits))
+        try:
+            tasks = [(token, blob_desc, pub_desc, wit_desc, j, seed,
+                      circuit_id, timeout_s)
+                     for j, seed in enumerate(seeds)]
+            blobs = pool.run(kernels.prove_job_shm, tasks,
                              return_exceptions=True)
+        finally:
+            arena.free(pub_desc)
+            arena.free(wit_desc)
         outcomes = []
         for j, blob in enumerate(blobs):
             if not isinstance(blob, BaseException):

@@ -58,18 +58,18 @@ def _repro_segments():
 
 class TestFaultPlan:
     def test_env_round_trip(self):
-        plan = faults.FaultPlan(kind="stall", site="encode", hits=3,
+        plan = faults.FaultPlan(kind="stall", site="hash_columns", hits=3,
                                 stall_s=1.5, token="t42")
         clone = faults.FaultPlan.from_env(plan.to_env())
         assert clone == plan
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
-            faults.FaultPlan(kind="meteor_strike", site="encode")
+            faults.FaultPlan(kind="meteor_strike", site="hash_columns")
 
     def test_hits_must_be_positive(self):
         with pytest.raises(ValueError, match="hits"):
-            faults.FaultPlan(kind="error", site="encode", hits=0)
+            faults.FaultPlan(kind="error", site="hash_columns", hits=0)
 
     def test_injected_scope_arms_and_disarms(self):
         plan = faults.FaultPlan(kind="error", site="nowhere", token="scope")
@@ -267,7 +267,7 @@ class TestSupervisedRecovery:
         pk, vk = keys
         reference = prove(pk, public, witness, seed=44).to_bytes()
         before = _repro_segments()
-        plan = faults.FaultPlan(kind="error", site="encode",
+        plan = faults.FaultPlan(kind="error", site="hash_columns",
                                 token="t_retry")
         with faults.injected(plan):
             with ProverPool(workers=2, auto_chunk=False,
@@ -283,7 +283,7 @@ class TestSupervisedRecovery:
         pk, vk = keys
         reference = prove(pk, public, witness, seed=45).to_bytes()
         before = _repro_segments()
-        plan = faults.FaultPlan(kind="shm_unlink", site="encode",
+        plan = faults.FaultPlan(kind="shm_unlink", site="hash_columns",
                                 token="t_unlink")
         with faults.injected(plan):
             with ProverPool(workers=2, auto_chunk=False,
@@ -300,8 +300,6 @@ class TestSupervisedRecovery:
         surfaces as a typed WorkerCrashError after zero retries."""
         import pickle
 
-        if not shm.shm_enabled():
-            pytest.skip("no shared memory on this platform")
         with ProverPool(workers=2, auto_chunk=False,
                         fault_policy=QUICK_POLICY) as p:
 
@@ -407,8 +405,6 @@ class TestProveManyPartialFailure:
         """Poisoning the broadcast pk blob mid-batch must not change a
         single proof byte: the parent retries serially with its pristine
         key and evicts the damaged blob."""
-        if not shm.shm_enabled():
-            pytest.skip("broadcast poisoning needs shared memory")
         _, public, witness = instance
         pk, vk = keys
         jobs = [(public, witness)] * 3

@@ -179,3 +179,31 @@ class TestVectorized:
         a = np.array(xs[:n], dtype=np.uint64)
         b = np.array(ys[:n], dtype=np.uint64)
         assert (fv.mul(a, b) == fv.mul(b, a)).all()
+
+
+class TestThreadSafety:
+    def test_concurrent_mul_matches_single_thread(self):
+        """Two threads multiplying at once must each get the serial
+        product: the tiled kernel's scratch must not be shared."""
+        import threading
+
+        rng = np.random.default_rng(17)
+        a = fv.rand_vector(1 << 18, rng)
+        b = fv.rand_vector(1 << 18, rng)
+        want = fv.mul(a, b)
+        start = threading.Barrier(2)
+        wrong = []
+
+        def worker():
+            start.wait()
+            for _ in range(5):
+                if not np.array_equal(fv.mul(a, b), want):
+                    wrong.append(1)
+
+        threads = [threading.Thread(target=worker) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        assert not wrong, f"{len(wrong)} of 10 concurrent products wrong"

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.code.reed_solomon import ReedSolomonCode
 from repro.hashing import fieldhash
 from repro.hashing.merkle import MerkleTree
 from repro.parallel import ProverPool, shm
@@ -76,19 +75,6 @@ class TestSerialFallback:
 
 
 class TestKernelEquivalence:
-    def test_encode_rows_matches_serial(self, pool):
-        code = ReedSolomonCode(blowup=4, num_queries=8)
-        rng = np.random.default_rng(5)
-        matrix = rng.integers(0, 1 << 32, size=(16, 64), dtype=np.uint64)
-        assert np.array_equal(code.encode_rows(matrix, pool=pool),
-                              code.encode_rows(matrix))
-
-    def test_encode_rows_small_matrix_stays_inline(self, pool):
-        code = ReedSolomonCode(blowup=4, num_queries=8)
-        matrix = np.arange(2 * 8, dtype=np.uint64).reshape(2, 8)
-        assert np.array_equal(code.encode_rows(matrix, pool=pool),
-                              code.encode_rows(matrix))
-
     def test_hash_columns_matches_serial(self, pool):
         rng = np.random.default_rng(6)
         matrix = rng.integers(0, 1 << 32, size=(4, 400), dtype=np.uint64)
@@ -99,18 +85,6 @@ class TestKernelEquivalence:
         matrix = rng.integers(0, 1 << 32, size=(4, 256), dtype=np.uint64)
         assert (MerkleTree.from_columns(matrix, pool=pool).root
                 == MerkleTree.from_columns(matrix).root)
-
-    def test_hash_layer_chunk_matches_serial_loop(self):
-        from repro.parallel.kernels import hash_layer_chunk
-
-        rng = np.random.default_rng(8)
-        digests = [bytes(rng.integers(0, 256, 32, dtype=np.uint8))
-                   for _ in range(8)]
-        raw = b"".join(digests)
-        expected = b"".join(
-            fieldhash.hash_pair(digests[i], digests[i + 1])
-            for i in range(0, 8, 2))
-        assert hash_layer_chunk(raw) == expected
 
 
 class TestProofDeterminism:
@@ -421,40 +395,6 @@ class TestWorkerCountInvariance:
                 assert [b.to_bytes() for b in
                         prove_many(pk, jobs, pool=p,
                                    base_seed=13)] == reference
-
-
-class TestNoShmFallback:
-    def test_env_flag_disables_shm(self, monkeypatch):
-        monkeypatch.setenv(shm.NO_SHM_ENV, "1")
-        assert not shm.shm_enabled()
-        monkeypatch.delenv(shm.NO_SHM_ENV)
-        assert shm.shm_enabled() == shm.shm_supported()
-
-    def test_pickled_fallback_bytes_identical(self, instance, monkeypatch):
-        r1cs, public, witness = instance
-        pk, vk = setup(r1cs, TEST)
-        jobs = [(public, witness)] * 2
-        reference = [b.to_bytes()
-                     for b in prove_many(pk, jobs, workers=0, base_seed=21)]
-        monkeypatch.setenv(shm.NO_SHM_ENV, "1")
-        with ProverPool(workers=2, auto_chunk=False) as p:
-            assert not p.use_shm
-            bundles = prove_many(pk, jobs, pool=p, base_seed=21)
-        assert [b.to_bytes() for b in bundles] == reference
-        assert all(verify(vk, b) for b in bundles)
-
-    def test_fallback_kernels_bytes_identical(self, monkeypatch):
-        code = ReedSolomonCode(blowup=4, num_queries=8)
-        rng = np.random.default_rng(31)
-        matrix = rng.integers(0, 1 << 32, size=(16, 128), dtype=np.uint64)
-        with ProverPool(workers=2, auto_chunk=False) as p:
-            shared = p.encode_rows(code, matrix)
-            shared_digests = p.hash_columns(shared)
-            monkeypatch.setenv(shm.NO_SHM_ENV, "1")
-            pickled = p.encode_rows(code, matrix)
-            pickled_digests = p.hash_columns(pickled)
-        assert np.array_equal(shared, pickled)
-        assert shared_digests == pickled_digests
 
 
 class TestPersistentPool:

@@ -30,10 +30,10 @@ Since schema_version 4 every size row records the process peak RSS (at
 2^20 it is dominated by building the workload, not by proving), and the
 workers sweep carries a ``dispatch`` block per worker count: pool warm-up
 wall time, the measured per-task dispatch cost from the one-shot probe,
-and bytes shared through :mod:`repro.parallel.shm` vs bytes pickled
-through the executor pipe.  The harness asserts ``prove_many`` with
-workers stays at or above ``--min-batch-speedup`` (default 0.95) of the
-serial batch — the regression guard for the zero-copy dispatch path.
+and bytes shared through :mod:`repro.parallel.shm`.  The harness asserts
+``prove_many`` with workers stays at or above ``--min-batch-speedup``
+(default 0.95) of the serial batch — the regression guard for the
+zero-copy dispatch path.
 
 Run:  PYTHONPATH=src python tools/bench_prover.py --json BENCH_prover.json
 """
@@ -186,17 +186,13 @@ def bench_size(log_size: int, num_rows: int, repeats: int,
     }
 
 
-def _dispatch_snapshot(pool, shared0: int, pickled0: int) -> dict:
+def _dispatch_snapshot(pool) -> dict:
     """Dispatch-overhead block for one worker count (schema v4)."""
     counters = METRICS.counters()
     return {
         "pool_warm_s": round(pool.warm_s or 0.0, 6),
         "dispatch_probe_s": round(pool.dispatch_cost_s, 9),
-        "shm_enabled": pool.use_shm,
-        "bytes_shared": int(counters.get("parallel.shm_bytes_shared", 0)
-                            - shared0),
-        "bytes_pickled": int(counters.get("parallel.bytes_pickled", 0)
-                             - pickled0),
+        "bytes_shared": int(counters.get("parallel.shm_bytes_shared", 0)),
         "dispatches": int(counters.get("parallel.dispatches", 0)),
     }
 
@@ -238,7 +234,7 @@ def bench_workers(log_size: int, num_rows: int, repeats: int,
             METRICS.reset()
             try:
                 prove_s = min_wall(repeats, lambda: pooled_prove(pool))
-                dispatch = _dispatch_snapshot(pool, 0, 0)
+                dispatch = _dispatch_snapshot(pool)
             finally:
                 METRICS.enabled = False
                 METRICS.reset()
@@ -297,7 +293,7 @@ def bench_workers(log_size: int, num_rows: int, repeats: int,
                 batch_s = pooled_best
                 ratios.sort()
                 median_ratio = ratios[len(ratios) // 2]
-                dispatch = _dispatch_snapshot(pool, 0, 0)
+                dispatch = _dispatch_snapshot(pool)
             finally:
                 METRICS.enabled = False
                 METRICS.reset()
@@ -410,15 +406,13 @@ def main(argv=None) -> int:
             d = row["dispatch"]
             print(f"  kernels   w={row['workers']}: {row['prove_s']:.4f} s "
                   f"({row['speedup_vs_serial']:.2f}x, "
-                  f"shared {d['bytes_shared']:,} B, "
-                  f"pickled {d['bytes_pickled']:,} B)")
+                  f"shared {d['bytes_shared']:,} B)")
         for row in workers_sweep["prove_many"]:
             d = row["dispatch"]
             print(f"  batch x{row['jobs']} w={row['workers']}: "
                   f"{row['batch_s']:.4f} s "
                   f"({row['speedup_vs_serial']:.2f}x, "
-                  f"shared {d['bytes_shared']:,} B, "
-                  f"pickled {d['bytes_pickled']:,} B)")
+                  f"shared {d['bytes_shared']:,} B)")
 
     payload = {
         "benchmark": "spartan_orion_functional_prover",

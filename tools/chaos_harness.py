@@ -105,26 +105,24 @@ SCENARIOS: List[Scenario] = [
              expect_fired=False),
     Scenario("control_workers4", "prove", None, workers=4,
              expect_fired=False),
-    # Worker death (uncatchable SIGKILL) at each kernel family.
-    Scenario("worker_kill_encode", "prove", "worker_kill", "encode",
+    # Worker death (uncatchable SIGKILL) at each pooled site.
+    Scenario("worker_kill_hash", "prove", "worker_kill", "hash_columns",
              quick=True),
-    Scenario("worker_kill_hash", "prove", "worker_kill", "hash_columns"),
     Scenario("worker_kill_job", "prove_many", "worker_kill", "prove_job",
              quick=True),
     # Hung dispatch: the watchdog must detect and re-drive.
-    Scenario("stall_encode", "prove", "stall", "encode", quick=True,
+    Scenario("stall_hash", "prove", "stall", "hash_columns", quick=True,
              extra={"stall_s": STALL_S}),
     Scenario("stall_job", "prove_many", "stall", "prove_job",
              extra={"stall_s": STALL_S}),
     # Torn shared memory: segment unlinked from under a worker.
-    Scenario("shm_unlink_encode", "prove", "shm_unlink", "encode",
+    Scenario("shm_unlink_hash", "prove", "shm_unlink", "hash_columns",
              quick=True),
-    Scenario("shm_unlink_hash", "prove", "shm_unlink", "hash_columns"),
     # Corrupted broadcast blob (the pickled proving key).
     Scenario("poison_broadcast", "prove_many", "poison_pickle", "broadcast",
              quick=True),
     # Generic in-task exception.
-    Scenario("error_encode", "prove", "error", "encode"),
+    Scenario("error_hash", "prove", "error", "hash_columns"),
     Scenario("error_job", "prove_many", "error", "prove_job", quick=True),
     # Spent deadline: must raise ProverTimeoutError, never degrade.
     Scenario("deadline_expiry", "deadline", None, quick=True,
@@ -284,7 +282,7 @@ def recovery_overhead(log_size: int = 16) -> dict:
         nofault_s = time.perf_counter() - t0
     finally:
         pool.close()
-    plan = faults.FaultPlan(kind="worker_kill", site="encode",
+    plan = faults.FaultPlan(kind="worker_kill", site="hash_columns",
                             token="chaos_overhead")
     with faults.injected(plan):
         pool = ProverPool(workers=2, auto_chunk=False,
