@@ -11,15 +11,21 @@ at O(1) memory, and a post-mortem reads the tail instead of re-running.
 Two record shapes share the ring:
 
 * :class:`FlightEvent` — one incident: ``kind`` (see
-  :data:`EVENT_KINDS`), a monotonic sequence number, a wall-clock
-  timestamp, and a small ``data`` dict.
+  :data:`EVENT_KINDS`), a sequence number, a wall-clock timestamp, and
+  a small ``data`` dict (tagged with the ``job_id`` of the job that
+  recorded it, if any).
 * :class:`JobReport` — one completed (or failed) prove/verify job,
   recorded as a ``kind="job"`` event whose ``data`` is the report: job
   id, operation, preset, circuit id, worker count, dispatch mode,
-  duration, proof size, peak-RSS delta, outcome, and the *per-job
-  deltas* of supervision incidents (computed from the event sequence
-  numbers spanning the job — never from absolute counter values, so a
-  second batch in the same process starts its report at zero).
+  duration, proof size, peak-RSS delta, outcome, and the supervision
+  incidents *this job* hit.
+
+A job is a :meth:`FlightRecorder.job_scope` block.  The active scope
+lives in a :class:`contextvars.ContextVar`, so concurrent jobs on
+different threads each count only their own incidents; an incident is
+charged to the innermost scope and to every scope enclosing it (a batch
+counts its inner proves' incidents).  The counts live in the scope, not
+in the ring, so they stay exact however many records the ring drops.
 
 The recorder is cheap enough to leave on — one small object append per
 *job* or *incident*, nothing per kernel call — but it honors a
@@ -32,12 +38,17 @@ otherwise private to the process.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import time
 from collections import deque
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional
+
+from .metrics import peak_rss_bytes
 
 #: Environment variable naming the JSONL spool file (optional).
 FLIGHT_LOG_ENV = "REPRO_FLIGHT_LOG"
@@ -58,7 +69,7 @@ EVENT_KINDS = (
     "janitor",          # orphaned shm segments reclaimed
 )
 
-#: Incident kinds summed into JobReport per-job fault deltas.
+#: Incident kinds a job scope counts into its JobReport.
 _FAULT_KINDS = ("worker_restart", "dispatch_stall", "task_error", "retry",
                 "degradation", "timeout")
 
@@ -81,10 +92,10 @@ class FlightEvent:
 class JobReport:
     """Structured telemetry for one proving (or verification) job.
 
-    ``events`` holds the per-job *deltas* of supervision incidents — how
-    many worker restarts, stalls, degradations, retries, and timeouts
-    fired while this job ran — computed by diffing recorder sequence
-    numbers, so reports never inherit a previous batch's incidents.
+    ``events`` counts the supervision incidents — worker restarts,
+    stalls, degradations, retries, timeouts — recorded inside this job's
+    :meth:`FlightRecorder.job_scope`, so a report never inherits another
+    job's (or another thread's) incidents.
     """
 
     job_id: str
@@ -92,7 +103,7 @@ class JobReport:
     preset: str = ""
     circuit_id: str = ""
     workers: int = 1
-    dispatch: str = "serial"        # "serial" | "shm" | "pickle"
+    dispatch: str = "serial"        # "serial" | "shm"
     jobs: int = 1                   # batch size (1 for single prove)
     duration_s: float = 0.0
     proof_size_bytes: int = 0
@@ -113,6 +124,30 @@ class JobReport:
             "events": dict(self.events),
         }
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "JobReport":
+        return cls(**data)
+
+
+@dataclass
+class JobScope:
+    """One open job: its id, the report fields the body fills in, the
+    incidents charged to it, its start clock and peak-RSS baseline.
+    ``report`` is set when the scope exits."""
+
+    job_id: str
+    fields: Dict[str, Any]
+    parent: Optional["JobScope"]
+    events: Dict[str, int] = field(default_factory=dict)
+    report: Optional[JobReport] = None
+    t0: float = field(default_factory=time.perf_counter)
+    rss0: int = field(default_factory=peak_rss_bytes)
+
+
+#: The innermost job open in the current context (None outside any job).
+_SCOPE: ContextVar[Optional[JobScope]] = ContextVar("repro_job_scope",
+                                                    default=None)
+
 
 class FlightRecorder:
     """Bounded, append-only event ring with an optional JSONL spool."""
@@ -121,18 +156,14 @@ class FlightRecorder:
                  spool_path: Optional[str] = None):
         self.enabled = True
         self._ring: "deque[FlightEvent]" = deque(maxlen=max(1, capacity))
-        self._seq = 0
-        self._job_counter = 0
+        # itertools.count steps atomically, so threads never share a seq.
+        self._seq = itertools.count()
+        self._job_ids = itertools.count(1)
         self.spool_path = spool_path
 
     @property
     def capacity(self) -> int:
         return self._ring.maxlen or 0
-
-    @property
-    def seq(self) -> int:
-        """Sequence number of the next event (monotonic, never reused)."""
-        return self._seq
 
     def spool_to(self, path: Optional[str]) -> None:
         """Start (or with None, stop) appending records to a JSONL file."""
@@ -140,17 +171,23 @@ class FlightRecorder:
 
     def next_job_id(self) -> str:
         """A process-unique job id: ``<pid>-<n>``."""
-        self._job_counter += 1
-        return f"{os.getpid()}-{self._job_counter}"
+        return f"{os.getpid()}-{next(self._job_ids)}"
 
     # -- write side --------------------------------------------------------
     def record(self, kind: str, **data: Any) -> Optional[FlightEvent]:
-        """Append one incident (no-op while disabled)."""
+        """Append one incident (no-op while disabled), charging it to the
+        active job scope and every scope enclosing it."""
         if not self.enabled:
             return None
-        event = FlightEvent(kind=kind, seq=self._seq, ts=time.time(),
+        scope = _SCOPE.get()
+        if scope is not None:
+            data.setdefault("job_id", scope.job_id)
+            if kind in _FAULT_KINDS:
+                while scope is not None:
+                    scope.events[kind] = scope.events.get(kind, 0) + 1
+                    scope = scope.parent
+        event = FlightEvent(kind=kind, seq=next(self._seq), ts=time.time(),
                             data=data)
-        self._seq += 1
         self._ring.append(event)
         self._spool(event)
         return event
@@ -160,6 +197,39 @@ class FlightRecorder:
         if not self.enabled:
             return None
         return self.record("job", **report.to_dict())
+
+    @contextmanager
+    def job_scope(self, op: str, **fields: Any) -> Iterator[JobScope]:
+        """Run the block as one job and record exactly one
+        :class:`JobReport` for it on exit, ok or failed.
+
+        ``fields`` (and whatever the block adds to ``scope.fields``) fill
+        the report; a non-empty ``error`` field marks it failed.  When the
+        block raises, the report names the exception type and is also
+        attached to the exception as ``exc.report`` unless an inner job
+        already attached its own — how a caller that catches a failed
+        job (``prove_many``, the proving service) gets its report.
+        """
+        scope = JobScope(self.next_job_id(), fields, _SCOPE.get())
+        token = _SCOPE.set(scope)
+        failure = None
+        try:
+            yield scope
+        except BaseException as exc:
+            failure = exc
+            fields["error"] = type(exc).__name__
+            raise
+        finally:
+            _SCOPE.reset(token)
+            scope.report = JobReport(
+                job_id=scope.job_id, op=op,
+                duration_s=time.perf_counter() - scope.t0,
+                peak_rss_delta_bytes=max(0, peak_rss_bytes() - scope.rss0),
+                ok=not fields.get("error"), events=dict(scope.events),
+                **fields)
+            self.record_job(scope.report)
+            if failure is not None and not getattr(failure, "report", None):
+                failure.report = scope.report
 
     def _spool(self, event: FlightEvent) -> None:
         path = self.spool_path
@@ -183,27 +253,9 @@ class FlightRecorder:
             return []
         return list(self._ring)[-n:]
 
-    def since(self, seq: int) -> List[FlightEvent]:
-        """Events recorded at or after sequence number ``seq``.
-
-        The per-job delta primitive: snapshot :attr:`seq` when a job
-        starts, then count what arrived while it ran.  Correct even for
-        back-to-back batches in one process — unlike reading absolute
-        counter values, which accumulate for the process lifetime.
-        """
-        return [e for e in self._ring if e.seq >= seq]
-
-    def fault_deltas(self, seq: int) -> Dict[str, int]:
-        """Count supervision incidents recorded at or after ``seq``."""
-        deltas: Dict[str, int] = {}
-        for event in self.since(seq):
-            if event.kind in _FAULT_KINDS:
-                deltas[event.kind] = deltas.get(event.kind, 0) + 1
-        return deltas
-
     def job_reports(self, n: Optional[int] = None) -> List[JobReport]:
         """The last ``n`` job reports (all when ``n`` is None)."""
-        reports = [JobReport(**{k: v for k, v in e.data.items()})
+        reports = [JobReport.from_dict(e.data)
                    for e in self._ring if e.kind == "job"]
         return reports if n is None else reports[-n:]
 

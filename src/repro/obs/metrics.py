@@ -18,15 +18,18 @@ processes: a worker-side histogram ships back as a plain dict
 OpenMetrics exposition format (:mod:`repro.obs.openmetrics`) requires of
 ``_bucket``/``_count``/``_sum`` series.
 
-The registry is plain module state, matching the single-threaded prover:
-enable it with :func:`repro.obs.tracing` (which also resets it) or by
-setting ``METRICS.enabled`` directly in a ``try/finally``.
+The registry is module state shared by every thread (``repro serve``
+runs its jobs on several): writes take one lock, after the ``enabled``
+check.  Enable it with :func:`repro.obs.tracing` (which also resets it)
+or by setting ``METRICS.enabled`` directly in a ``try/finally``.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
+import threading
 from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -144,13 +147,14 @@ class MetricsRegistry:
 
     ``inc``/``gauge``/``observe`` are no-ops while ``enabled`` is False —
     that check is the only cost instrumented code pays in normal
-    operation.
+    operation; enabled writes serialize on one lock.
     """
 
-    __slots__ = ("enabled", "_counters", "_gauges", "_histograms")
+    __slots__ = ("enabled", "_lock", "_counters", "_gauges", "_histograms")
 
     def __init__(self) -> None:
         self.enabled = False
+        self._lock = threading.Lock()
         self._counters: Dict[str, Number] = {}
         self._gauges: Dict[str, Number] = {}
         self._histograms: Dict[HistKey, Histogram] = {}
@@ -160,13 +164,15 @@ class MetricsRegistry:
         """Add ``amount`` to counter ``name`` (no-op when disabled)."""
         if not self.enabled:
             return
-        self._counters[name] = self._counters.get(name, 0) + amount
+        with self._lock:
+            self._counters[name] = self._counters.get(name, 0) + amount
 
     def gauge(self, name: str, value: Number) -> None:
         """Record the latest value of gauge ``name`` (no-op when disabled)."""
         if not self.enabled:
             return
-        self._gauges[name] = value
+        with self._lock:
+            self._gauges[name] = value
 
     def observe(self, name: str, value: Number, **labels: str) -> None:
         """Record one observation into histogram ``name`` (no-op when
@@ -175,10 +181,11 @@ class MetricsRegistry:
         if not self.enabled:
             return
         key = (name, labels_key(labels) if labels else ())
-        hist = self._histograms.get(key)
-        if hist is None:
-            hist = self._histograms[key] = Histogram()
-        hist.observe(value)
+        with self._lock:
+            hist = self._histograms.get(key)
+            if hist is None:
+                hist = self._histograms[key] = Histogram()
+            hist.observe(value)
 
     def merge_histogram(self, name: str,
                         labels: Tuple[Tuple[str, str], ...],
@@ -192,11 +199,12 @@ class MetricsRegistry:
         if not self.enabled:
             return
         key = (name, tuple((str(k), str(v)) for k, v in labels))
-        hist = self._histograms.get(key)
-        if hist is None:
-            self._histograms[key] = Histogram.from_dict(data)
-        else:
-            hist.merge(Histogram.from_dict(data))
+        with self._lock:
+            hist = self._histograms.get(key)
+            if hist is None:
+                self._histograms[key] = Histogram.from_dict(data)
+            else:
+                hist.merge(Histogram.from_dict(data))
 
     # -- read side ---------------------------------------------------------
     def counters(self) -> Dict[str, Number]:
@@ -232,6 +240,10 @@ class MetricsRegistry:
 
 #: The process-wide registry every instrumented kernel reports to.
 METRICS = MetricsRegistry()
+# A worker forked while another thread held the lock would inherit it
+# held forever; the child starts with a fresh one.
+os.register_at_fork(
+    after_in_child=lambda: setattr(METRICS, "_lock", threading.Lock()))
 
 
 def peak_rss_bytes() -> int:

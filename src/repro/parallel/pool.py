@@ -576,11 +576,14 @@ class ProverPool:
 
     def _degraded(self, kernel: str, exc: BaseException) -> None:
         """Account one graceful degradation to the in-process serial path
-        (the serial rerun is bit-identical, so this costs latency only)."""
+        (the serial rerun is bit-identical, so this costs latency only).
+        ``cause`` names the failure a WorkerCrashError wraps."""
         _METRICS.inc("parallel.degradations")
         _METRICS.inc(f"parallel.degradations.{kernel}")
+        cause = exc.__cause__
         _FLIGHT.record("degradation", kernel=kernel,
-                       error=type(exc).__name__)
+                       error=type(exc).__name__,
+                       cause="" if cause is None else type(cause).__name__)
 
     # -- broadcast (amortized keygen) --------------------------------------
     def broadcast(self, obj) -> Tuple[str, shm.BlobDesc]:

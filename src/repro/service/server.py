@@ -481,6 +481,10 @@ class ProvingService:
                 self._run_verify(job)
         except Exception as exc:  # noqa: BLE001 - typed error to client
             error = exc
+            # A failed prove's exception carries its job report.
+            report = getattr(exc, "report", None)
+            if report is not None:
+                job.report = report.to_dict()
         loop.call_soon_threadsafe(self._finish_job, job, error)
 
     def _run_prove(self, job: Job) -> None:
@@ -499,8 +503,7 @@ class ProvingService:
                        circuit_id=job.circuit_id,
                        timeout_s=job.timeout_s, attach_report=True)
         job.envelope = bundle.to_bytes()
-        if bundle.report is not None:
-            job.report = bundle.report.to_dict()
+        job.report = bundle.report.to_dict()
         self.proof_cache.put(key, job.envelope)
 
     def _run_verify(self, job: Job) -> None:

@@ -137,11 +137,12 @@ def setup(r1cs: R1CS, preset: SecurityPreset = TEST
     return ProvingKey(r1cs, preset), VerifyingKey(r1cs, preset)
 
 
-def _dispatch_mode(pool) -> str:
-    """Which dispatch path a pool implies (for flight-recorder reports)."""
+def _dispatch_fields(pool) -> dict:
+    """The worker count and dispatch path a pool implies (JobReport
+    fields)."""
     if pool is None or pool.is_serial:
-        return "serial"
-    return "shm"
+        return {"workers": getattr(pool, "workers", 1), "dispatch": "serial"}
+    return {"workers": pool.workers, "dispatch": "shm"}
 
 
 def _observe_phases(tracer, rec0: int, root: str) -> None:
@@ -181,13 +182,14 @@ def prove(pk: ProvingKey, public: np.ndarray, witness: np.ndarray, *,
     :class:`~repro.errors.ProverTimeoutError`.  Deadlines nest — inside
     an enclosing scope the effective budget is the tighter of the two.
 
-    Telemetry: every call appends a :class:`~repro.obs.events.JobReport`
-    to the flight recorder (``repro report`` dumps the tail) and, when
-    the metrics registry is enabled, one observation each into the
-    ``prove_seconds`` and per-family ``phase_seconds`` histograms.
-    ``attach_report=True`` additionally hangs the report off the
-    returned bundle (:attr:`ProofBundle.report`; local-only, never
-    serialized).
+    Telemetry: every call runs as one flight-recorder job
+    (:meth:`~repro.obs.events.FlightRecorder.job_scope`) and records one
+    :class:`~repro.obs.events.JobReport` (``repro report`` dumps the
+    tail) and, when the metrics registry is enabled, one observation each
+    into the ``prove_seconds`` and per-family ``phase_seconds``
+    histograms.  ``attach_report=True`` additionally hangs the report off
+    the returned bundle (:attr:`ProofBundle.report`; local-only, never
+    serialized); a failed call's exception carries it as ``exc.report``.
     """
     if rng is None:
         rng = np.random.default_rng(seed)
@@ -195,13 +197,11 @@ def prove(pk: ProvingKey, public: np.ndarray, witness: np.ndarray, *,
         from ..parallel import get_pool
 
         pool = get_pool(workers)
-    job_id = _FLIGHT.next_job_id()
-    seq0 = _FLIGHT.seq
-    rss0 = obs.peak_rss_bytes()
     tracer = obs.get_tracer()
     rec0 = tracer.record_index() if tracer is not None else 0
-    t0 = time.perf_counter()
-    try:
+    with _FLIGHT.job_scope("prove", preset=pk.preset.name,
+                           circuit_id=circuit_id,
+                           **_dispatch_fields(pool)) as job:
         with deadline_scope(timeout_s, label="prove"):
             prover = pk.prover(rng=rng, pool=pool)
             with _span("snark.prove", "other",
@@ -209,33 +209,15 @@ def prove(pk: ProvingKey, public: np.ndarray, witness: np.ndarray, *,
                        repetitions=pk.preset.sumcheck_repetitions,
                        workers=getattr(pool, "workers", 1)):
                 proof = prover.prove(public, witness, Transcript())
-    except BaseException as exc:
-        _FLIGHT.record_job(JobReport(
-            job_id=job_id, op="prove", preset=pk.preset.name,
-            circuit_id=circuit_id, workers=getattr(pool, "workers", 1),
-            dispatch=_dispatch_mode(pool), jobs=1,
-            duration_s=time.perf_counter() - t0,
-            peak_rss_delta_bytes=max(0, obs.peak_rss_bytes() - rss0),
-            ok=False, error=type(exc).__name__,
-            events=_FLIGHT.fault_deltas(seq0)))
-        raise
-    duration = time.perf_counter() - t0
-    _METRICS.observe("prove_seconds", duration)
-    _observe_phases(tracer, rec0, "snark.prove")
-    bundle = ProofBundle(proof=proof,
-                         public=np.asarray(public, dtype=np.uint64),
-                         preset_name=pk.preset.name,
-                         circuit_id=circuit_id)
-    report = JobReport(
-        job_id=job_id, op="prove", preset=pk.preset.name,
-        circuit_id=circuit_id, workers=getattr(pool, "workers", 1),
-        dispatch=_dispatch_mode(pool), jobs=1, duration_s=duration,
-        proof_size_bytes=bundle.size_bytes(),
-        peak_rss_delta_bytes=max(0, obs.peak_rss_bytes() - rss0),
-        ok=True, events=_FLIGHT.fault_deltas(seq0))
-    _FLIGHT.record_job(report)
+        _METRICS.observe("prove_seconds", time.perf_counter() - job.t0)
+        _observe_phases(tracer, rec0, "snark.prove")
+        bundle = ProofBundle(proof=proof,
+                             public=np.asarray(public, dtype=np.uint64),
+                             preset_name=pk.preset.name,
+                             circuit_id=circuit_id)
+        job.fields["proof_size_bytes"] = bundle.size_bytes()
     if attach_report:
-        bundle.report = report
+        bundle.report = job.report
     return bundle
 
 
@@ -248,10 +230,9 @@ class JobResult:
     every recovery path (retry, serial degradation) was exhausted.
 
     ``report`` is the per-job :class:`~repro.obs.events.JobReport`:
-    failed jobs always carry one (also recorded to the flight recorder,
-    so structured errors survive the batch — what the proving service
-    returns to clients); successful jobs carry the batch report when the
-    call passed ``attach_report=True``.
+    a failed job carries the one report its ``prove`` recorded, naming
+    the error and its incidents; successful jobs carry the batch report
+    when the call passed ``attach_report=True``.
     """
 
     ok: bool
@@ -303,17 +284,14 @@ def prove_many(pk: ProvingKey, jobs: Sequence[Tuple[np.ndarray, np.ndarray]],
     ``"return"`` yields a :class:`JobResult` per job so one poisoned
     statement cannot sink a batch.
 
-    Telemetry: the batch appends one :class:`~repro.obs.events.JobReport`
-    (``op="prove_many"``) to the flight recorder whose ``events`` are the
-    supervision incidents *of this batch only* — deltas of the recorder's
-    sequence numbers, not absolute counter values, so back-to-back
-    batches in one process never inherit each other's degradation or
-    retry counts.  ``attach_report=True`` hangs that batch report off
-    every returned bundle.  Under ``on_error="return"`` every *failed*
-    job additionally records — and carries, via
-    :attr:`JobResult.report` — its own per-job report naming the typed
-    error, so partial results stay structured (the proving service
-    relays exactly these to clients).
+    Telemetry: the batch runs as one flight-recorder job
+    (``op="prove_many"``) enclosing a ``prove`` job per statement; each
+    records one :class:`~repro.obs.events.JobReport`, and the batch
+    report counts every incident of its inner jobs, never another
+    batch's.  ``attach_report=True`` hangs the batch report off every
+    returned bundle.  Under ``on_error="return"`` every *failed* job
+    carries its own report via :attr:`JobResult.report`, so partial
+    results stay structured.
     """
     if on_error not in ("raise", "return"):
         raise ValueError(f"on_error must be 'raise' or 'return', "
@@ -325,149 +303,95 @@ def prove_many(pk: ProvingKey, jobs: Sequence[Tuple[np.ndarray, np.ndarray]],
     pubs = [np.asarray(pub, dtype=np.uint64) for pub, _ in jobs]
     wits = [np.asarray(wit, dtype=np.uint64) for _, wit in jobs]
 
+    def _failed(exc: BaseException) -> JobResult:
+        if on_error == "raise":
+            raise exc
+        return JobResult(ok=False, error=exc,
+                         report=getattr(exc, "report", None))
+
     def _serial_job(j):
+        try:
+            bundle = prove(pk, pubs[j], wits[j],
+                           rng=np.random.default_rng(seeds[j]),
+                           circuit_id=circuit_id, timeout_s=timeout_s)
+        except Exception as exc:  # noqa: BLE001 - per-job contract
+            return _failed(exc)
         # The envelope round trip mirrors the worker path byte for byte.
-        bundle = prove(pk, pubs[j], wits[j],
-                       rng=np.random.default_rng(seeds[j]),
-                       circuit_id=circuit_id, timeout_s=timeout_s)
         return ProofBundle.from_bytes(bundle.to_bytes())
-
-    job_id = _FLIGHT.next_job_id()
-    seq0 = _FLIGHT.seq
-    rss0 = obs.peak_rss_bytes()
-    t0 = time.perf_counter()
-
-    def _batch_report(outcomes, pool, error: str = "") -> JobReport:
-        bundles = [out for out in outcomes if isinstance(out, ProofBundle)]
-        failures = [out for out in outcomes
-                    if isinstance(out, JobResult) and not out.ok]
-        if not error and failures:
-            error = type(failures[0].error).__name__
-        return JobReport(
-            job_id=job_id, op="prove_many", preset=pk.preset.name,
-            circuit_id=circuit_id, workers=getattr(pool, "workers", 1),
-            dispatch=_dispatch_mode(pool), jobs=len(jobs),
-            duration_s=time.perf_counter() - t0,
-            proof_size_bytes=sum(b.size_bytes() for b in bundles),
-            peak_rss_delta_bytes=max(0, obs.peak_rss_bytes() - rss0),
-            ok=not error, error=error,
-            events=_FLIGHT.fault_deltas(seq0))
-
-    def _fail(exc: BaseException, pool, duration_s: float = 0.0) -> JobResult:
-        """A failed job's result, with its own flight-recorder report —
-        the structured error a caller (or the proving service) can
-        surface without re-deriving what went wrong."""
-        report = JobReport(
-            job_id=_FLIGHT.next_job_id(), op="prove",
-            preset=pk.preset.name, circuit_id=circuit_id,
-            workers=getattr(pool, "workers", 1),
-            dispatch=_dispatch_mode(pool), jobs=1, duration_s=duration_s,
-            ok=False, error=type(exc).__name__)
-        _FLIGHT.record_job(report)
-        return JobResult(ok=False, error=exc, report=report)
-
-    def _finish(outcomes, pool):
-        report = _batch_report(outcomes, pool)
-        _FLIGHT.record_job(report)
-        if on_error == "return":
-            results = [out if isinstance(out, JobResult)
-                       else JobResult(ok=True, bundle=out)
-                       for out in outcomes]
-        else:
-            for out in outcomes:
-                if isinstance(out, JobResult) and not out.ok:
-                    raise out.error
-            results = list(outcomes)
-        if attach_report:
-            for out in results:
-                bundle = out.bundle if isinstance(out, JobResult) else out
-                if bundle is not None:
-                    bundle.report = report
-                if isinstance(out, JobResult) and out.report is None:
-                    out.report = report
-        return results
 
     explicit_serial = (pool is None and workers is not None and workers <= 1)
     if pool is None and not explicit_serial:
         from ..parallel import get_pool
 
         pool = get_pool(workers)
-    try:
-        if (pool is None or pool.is_serial or len(jobs) == 1
-                or not pool.job_fanout_pays):
-            outcomes = []
-            with _span("snark.prove_many", "other", jobs=len(jobs),
-                       workers=1):
-                for j in range(len(jobs)):
-                    tj = time.perf_counter()
-                    try:
-                        outcomes.append(_serial_job(j))
-                    except Exception as exc:  # noqa: BLE001 - per-job
-                        if on_error == "raise":
-                            raise
-                        outcomes.append(_fail(
-                            exc, None, time.perf_counter() - tj))
-            return _finish(outcomes, None)
-    except BaseException as exc:
-        _FLIGHT.record_job(_batch_report([], None,
-                                         error=type(exc).__name__))
-        raise
-    try:
-        return _prove_many_pooled(pk, pool, jobs, seeds, pubs, wits,
-                                  circuit_id, timeout_s, on_error,
-                                  _serial_job, _finish, _fail)
-    except BaseException as exc:
-        _FLIGHT.record_job(_batch_report([], pool,
-                                         error=type(exc).__name__))
-        raise
+    if (pool is None or pool.is_serial or len(jobs) == 1
+            or not pool.job_fanout_pays):
+        pool = None
+    with _FLIGHT.job_scope("prove_many", preset=pk.preset.name,
+                           circuit_id=circuit_id, jobs=len(jobs),
+                           **_dispatch_fields(pool)) as batch:
+        with _span("snark.prove_many", "other", jobs=len(jobs),
+                   workers=getattr(pool, "workers", 1)):
+            if pool is None:
+                outcomes = [_serial_job(j) for j in range(len(jobs))]
+            else:
+                outcomes = _prove_many_pooled(pk, pool, seeds, pubs, wits,
+                                              circuit_id, timeout_s,
+                                              _serial_job, _failed)
+        failures = [out for out in outcomes if isinstance(out, JobResult)]
+        if failures:
+            batch.fields["error"] = type(failures[0].error).__name__
+        batch.fields["proof_size_bytes"] = sum(
+            out.size_bytes() for out in outcomes
+            if isinstance(out, ProofBundle))
+    if on_error == "return":
+        outcomes = [out if isinstance(out, JobResult)
+                    else JobResult(ok=True, bundle=out) for out in outcomes]
+    if attach_report:
+        for out in outcomes:
+            if isinstance(out, ProofBundle):
+                out.report = batch.report
+            elif out.ok:
+                out.bundle.report = out.report = batch.report
+    return outcomes
 
 
-def _prove_many_pooled(pk, pool, jobs, seeds, pubs, wits, circuit_id,
-                       timeout_s, on_error, _serial_job, _finish, _fail):
+def _prove_many_pooled(pk, pool, seeds, pubs, wits, circuit_id, timeout_s,
+                       _serial_job, _failed):
     """The fan-out body of :func:`prove_many` (split for readability)."""
     from ..parallel import kernels
 
-    with _span("snark.prove_many", "other", jobs=len(jobs),
-               workers=pool.workers):
-        arena = pool.arena()
-        token, blob_desc = pool.broadcast(pk)
-        pub_desc = arena.share_array(np.stack(pubs))
-        wit_desc = arena.share_array(np.stack(wits))
-        try:
-            tasks = [(token, blob_desc, pub_desc, wit_desc, j, seed,
-                      circuit_id, timeout_s)
-                     for j, seed in enumerate(seeds)]
-            blobs = pool.run(kernels.prove_job_shm, tasks,
-                             return_exceptions=True)
-        finally:
-            arena.free(pub_desc)
-            arena.free(wit_desc)
-        outcomes = []
-        for j, blob in enumerate(blobs):
-            if not isinstance(blob, BaseException):
-                outcomes.append(ProofBundle.from_bytes(blob))
-                continue
-            if isinstance(blob, ProverTimeoutError):
-                # A spent budget is final: no retry can honor it.
-                if on_error == "raise":
-                    raise blob
-                outcomes.append(_fail(blob, pool))
-                continue
+    arena = pool.arena()
+    token, blob_desc = pool.broadcast(pk)
+    pub_desc = arena.share_array(np.stack(pubs))
+    wit_desc = arena.share_array(np.stack(wits))
+    try:
+        tasks = [(token, blob_desc, pub_desc, wit_desc, j, seed,
+                  circuit_id, timeout_s)
+                 for j, seed in enumerate(seeds)]
+        blobs = pool.run(kernels.prove_job_shm, tasks,
+                         return_exceptions=True)
+    finally:
+        arena.free(pub_desc)
+        arena.free(wit_desc)
+    outcomes = []
+    for j, blob in enumerate(blobs):
+        if not isinstance(blob, BaseException):
+            outcomes.append(ProofBundle.from_bytes(blob))
+        elif isinstance(blob, ProverTimeoutError):
+            # A spent budget is final: no retry can honor it.  The
+            # worker's prove recorded the job's report; it travels on
+            # the exception.
+            outcomes.append(_failed(blob))
+        else:
             # Worker-side failure: recover serially in the parent, which
             # holds the pristine pk (immune to broadcast corruption).
             # Drop the cached broadcast first so the *next* batch
             # re-broadcasts a clean blob instead of replaying the damage.
             pool.drop_broadcast(pk)
             pool._degraded("prove_job", blob)
-            tj = time.perf_counter()
-            try:
-                outcomes.append(_serial_job(j))
-            except Exception as exc:  # noqa: BLE001 - per-job contract
-                if on_error == "raise":
-                    raise
-                outcomes.append(_fail(exc, pool,
-                                      time.perf_counter() - tj))
-    return _finish(outcomes, pool)
+            outcomes.append(_serial_job(j))
+    return outcomes
 
 
 def verify(vk: VerifyingKey, bundle: ProofBundle) -> bool:

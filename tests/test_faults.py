@@ -21,6 +21,7 @@ import pytest
 
 from repro.errors import ProverTimeoutError, ReproError, WorkerCrashError
 from repro.fuzz import faults
+from repro.obs import FLIGHT
 from repro.parallel import (
     FaultPolicy,
     ProverPool,
@@ -288,10 +289,17 @@ class TestSupervisedRecovery:
         with faults.injected(plan):
             with ProverPool(workers=2, auto_chunk=False,
                             fault_policy=QUICK_POLICY) as p:
-                bundle = prove(pk, public, witness, seed=45, pool=p)
+                bundle = prove(pk, public, witness, seed=45, pool=p,
+                               attach_report=True)
             fired = os.path.exists(plan.claim_path)
         if fired:  # non-Linux: segment kinds cannot fire
             assert bundle.to_bytes() == reference
+            # The degradation names the failure the crash error wraps.
+            degraded = [e.data for e in FLIGHT.events()
+                        if e.kind == "degradation"
+                        and e.data["job_id"] == bundle.report.job_id]
+            assert [(d["error"], d["cause"]) for d in degraded] \
+                == [("WorkerCrashError", "ShmError")]
         assert verify(vk, bundle)
         assert _repro_segments() == before
 

@@ -7,6 +7,8 @@ from __future__ import annotations
 import importlib.util
 import json
 import math
+import sys
+import threading
 import time
 from pathlib import Path
 
@@ -31,7 +33,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.openmetrics import parse, render, sanitize_name, write_openmetrics
 from repro.parallel import ProverPool
-from repro.snark import TEST, prove, prove_many, setup, verify
+from repro.snark import TEST, ProvingKey, prove, prove_many, setup, verify
 from repro.workloads import synthetic_r1cs
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -60,6 +62,23 @@ def workload():
     r1cs, public, witness = synthetic_r1cs(log_size=8, seed=3)
     pk, vk = setup(r1cs, TEST)
     return pk, vk, public, witness
+
+
+def _run_two_threads(target):
+    """Run ``target(0)`` and ``target(1)`` on two threads under a tiny GIL
+    switch interval, so an unlocked read-modify-write loses updates."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=target, args=(i,))
+                   for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
 
 
 class TestHistogram:
@@ -172,6 +191,19 @@ class TestRegistryHistograms:
             == 'h{family="spmv"}'
         assert labels_key({"b": 1, "a": "x"}) == (("a", "x"), ("b", "1"))
 
+    def test_writes_lose_nothing_across_threads(self):
+        reg = MetricsRegistry()
+        reg.enabled = True
+
+        def hammer(i):
+            for _ in range(200_000):
+                reg.inc("hits")
+            reg.observe("lat", 0.5)
+
+        _run_two_threads(hammer)
+        assert reg.counters()["hits"] == 400_000
+        assert reg.histogram("lat").count == 2
+
 
 class TestOpenMetrics:
     def _populated(self):
@@ -275,7 +307,7 @@ class TestFlightRecorder:
         events = rec.events()
         assert len(events) == 4
         assert [e.data["attempt"] for e in events] == [6, 7, 8, 9]
-        assert rec.seq == 10  # sequence numbers never reused
+        assert [e.seq for e in events] == [6, 7, 8, 9]  # never reused
 
     def test_disabled_records_nothing(self):
         rec = FlightRecorder()
@@ -286,14 +318,58 @@ class TestFlightRecorder:
 
     def test_fault_deltas_are_per_window(self):
         rec = FlightRecorder()
-        rec.record("degradation", kernel="encode")
-        seq0 = rec.seq
-        rec.record("retry", attempt=1)
-        rec.record("retry", attempt=2)
-        rec.record_job(JobReport(job_id="j", op="prove"))  # not a fault
-        # Only events inside the window; "job" records never count.
-        assert rec.fault_deltas(seq0) == {"retry": 2}
-        assert rec.fault_deltas(rec.seq) == {}
+        rec.record("degradation", kernel="encode")  # before the job
+        with rec.job_scope("prove") as job:
+            rec.record("retry", attempt=1)
+            rec.record("retry", attempt=2)
+            rec.record_job(JobReport(job_id="j", op="prove"))  # not a fault
+        rec.record("retry", attempt=3)  # after the job
+        # Only incidents inside the scope; "job" records never count.
+        assert job.report.events == {"retry": 2}
+        assert job.report.ok and job.report.op == "prove"
+        assert rec.job_reports()[-1].to_dict() == job.report.to_dict()
+
+    def test_scope_counts_past_ring_capacity(self):
+        rec = FlightRecorder(capacity=4)
+        with rec.job_scope("prove_many") as job:
+            for i in range(10):
+                rec.record("retry", attempt=i)
+        assert job.report.events == {"retry": 10}
+        assert len(rec.events()) == 4  # the ring kept only the tail
+
+    def test_nested_scopes_charge_every_enclosing_job(self):
+        rec = FlightRecorder()
+        with rec.job_scope("prove_many") as outer:
+            rec.record("retry")
+            with rec.job_scope("prove") as inner:
+                event = rec.record("timeout")
+        assert event.data["job_id"] == inner.job_id  # innermost job
+        assert inner.report.events == {"timeout": 1}
+        assert outer.report.events == {"retry": 1, "timeout": 1}
+        assert [r.op for r in rec.job_reports()] == ["prove", "prove_many"]
+
+    def test_failed_scope_reports_once_on_the_exception(self):
+        rec = FlightRecorder()
+        with pytest.raises(ValueError) as ei:
+            with rec.job_scope("prove_many") as outer:
+                with rec.job_scope("prove", circuit_id="c") as inner:
+                    raise ValueError("unsatisfied")
+        assert [r.ok for r in rec.job_reports()] == [False, False]
+        assert inner.report.error == outer.report.error == "ValueError"
+        assert inner.report.circuit_id == "c"
+        # The innermost failed job's report rides on the exception.
+        assert ei.value.report is inner.report
+
+    def test_seq_unique_across_threads(self):
+        rec = FlightRecorder(capacity=8)
+        seqs = [[], []]
+
+        def hammer(i):
+            for _ in range(50_000):
+                seqs[i].append(rec.record("retry").seq)
+
+        _run_two_threads(hammer)
+        assert len(set(seqs[0]) | set(seqs[1])) == 100_000
 
     def test_job_reports_roundtrip(self):
         rec = FlightRecorder()
@@ -394,15 +470,15 @@ class TestProveTelemetry:
 
     def test_flight_recorder_gets_job_records(self, workload):
         pk, _, public, witness = workload
-        seq0 = FLIGHT.seq
         prove(pk, public, witness, seed=3)
         prove_many(pk, [(public, witness)] * 2, workers=0, base_seed=9)
-        kinds = [e.kind for e in FLIGHT.since(seq0)]
-        # prove_many spawns per-job prove records plus one batch record.
-        assert kinds.count("job") == 4
-        batch = [e for e in FLIGHT.since(seq0)
-                 if e.data.get("op") == "prove_many"]
-        assert len(batch) == 1 and batch[0].data["jobs"] == 2
+        reports = FLIGHT.job_reports()
+        # prove_many records per-job prove reports, then the batch report
+        # when its scope closes.
+        assert [r.op for r in reports] == ["prove", "prove", "prove",
+                                           "prove_many"]
+        assert reports[-1].jobs == 2
+        assert len({r.job_id for r in reports}) == 4
 
     def test_successive_batches_do_not_inherit_events(self, workload):
         """Satellite regression test: job reports carry per-window deltas,
@@ -419,15 +495,73 @@ class TestProveTelemetry:
 
     def test_timeout_leaves_flight_trail(self, workload):
         pk, _, public, witness = workload
-        seq0 = FLIGHT.seq
-        with pytest.raises(ProverTimeoutError):
+        with pytest.raises(ProverTimeoutError) as ei:
             prove(pk, public, witness, seed=1, timeout_s=1e-5)
-        deltas = FLIGHT.fault_deltas(seq0)
-        assert deltas.get("timeout", 0) >= 1
-        failed = [e for e in FLIGHT.since(seq0)
-                  if e.kind == "job" and not e.data["ok"]]
-        assert len(failed) == 1
-        assert failed[0].data["error"] == "ProverTimeoutError"
+        report = ei.value.report
+        assert report.events == {"timeout": 1}
+        assert not report.ok and report.error == "ProverTimeoutError"
+        assert [r.to_dict() for r in FLIGHT.job_reports()] \
+            == [report.to_dict()]
+        timeouts = [e for e in FLIGHT.events() if e.kind == "timeout"]
+        assert [e.data["job_id"] for e in timeouts] == [report.job_id]
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_failed_jobs_record_one_report_each(self, workload, workers):
+        """A failed prove_many job records exactly one report, carrying its
+        incidents, and that report is its JobResult.report."""
+        pk, _, public, witness = workload
+        pool = (ProverPool(workers=workers, auto_chunk=False)
+                if workers > 1 else None)
+        try:
+            results = prove_many(pk, [(public, witness)] * 2, pool=pool,
+                                 workers=workers, base_seed=3,
+                                 timeout_s=1e-6, on_error="return")
+        finally:
+            if pool is not None:
+                pool.close()
+        reports = FLIGHT.job_reports()
+        failed = [r for r in reports if r.op == "prove"]
+        assert len(failed) == 2 and not any(r.ok for r in failed)
+        assert [r.report.to_dict() for r in results] \
+            == [r.to_dict() for r in failed]
+        assert all(r.report.events == {"timeout": 1} for r in results)
+        batch = reports[-1]
+        assert batch.op == "prove_many" and not batch.ok
+        assert batch.error == "ProverTimeoutError"
+        assert batch.events["timeout"] == 2
+
+    def test_concurrent_jobs_keep_their_own_incidents(self, workload,
+                                                      monkeypatch):
+        """Incidents another thread records while a prove runs are never
+        charged to the prove's job."""
+        pk, _, public, witness = workload
+        proving, recorded = threading.Event(), threading.Event()
+        incidents = []
+        prover = ProvingKey.prover
+
+        def gated_prover(self, *args, **kwargs):
+            # Hold the prove inside its job until the other thread has
+            # recorded its incidents.
+            proving.set()
+            assert recorded.wait(60)
+            return prover(self, *args, **kwargs)
+
+        def other_thread():
+            if proving.wait(60):
+                incidents.append(FLIGHT.record("degradation", kernel="x"))
+                incidents.append(FLIGHT.record("retry", attempt=1))
+            recorded.set()
+
+        monkeypatch.setattr(ProvingKey, "prover", gated_prover)
+        thread = threading.Thread(target=other_thread)
+        thread.start()
+        try:
+            bundle = prove(pk, public, witness, seed=4, attach_report=True)
+        finally:
+            thread.join(60)
+        assert not thread.is_alive() and len(incidents) == 2
+        assert bundle.report.events == {}
+        assert not any("job_id" in e.data for e in incidents)
 
     def test_telemetry_does_not_perturb_proof_bytes(self, workload):
         pk, _, public, witness = workload

@@ -360,6 +360,41 @@ class TestServiceEndToEnd:
                 assert svc.status(job_id)["error"] == "ProverTimeoutError"
             del live
 
+    def test_concurrent_jobs_report_their_own_incidents(self, sock_path,
+                                                        monkeypatch):
+        """Two overlapping proves on two job slots: the one whose budget
+        cannot be met reports its timeout, the other reports none."""
+        from repro.snark import ProvingKey
+
+        entered, release = threading.Event(), threading.Event()
+        prover = ProvingKey.prover
+
+        def gated_prover(self, *args, **kwargs):
+            # Hold the first prove inside its job until the second fails.
+            if not entered.is_set():
+                entered.set()
+                assert release.wait(60)
+            return prover(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProvingKey, "prover", gated_prover)
+        with running_service(sock_path, job_slots=2, workers=1) as live:
+            with ServiceClient(sock_path) as svc:
+                ok_id = svc.submit("prove", circuit_id="litmus", seed=31)
+                assert entered.wait(60)
+                late_id = svc.submit("prove", circuit_id="litmus", seed=32,
+                                     timeout_s=1e-4)
+                try:
+                    with pytest.raises(ProverTimeoutError):
+                        svc.result(late_id, wait_s=60)
+                finally:
+                    release.set()
+                assert svc.result(ok_id, wait_s=60)["state"] == "done"
+            jobs = live.service.jobs
+            failed, done = jobs[late_id].report, jobs[ok_id].report
+        assert not failed["ok"] and failed["error"] == "ProverTimeoutError"
+        assert failed["events"] == {"timeout": 1}
+        assert done["ok"] and done["events"] == {}
+
     def test_bad_requests_are_typed(self, sock_path):
         with running_service(sock_path):
             with ServiceClient(sock_path) as svc:

@@ -13,7 +13,7 @@ workload through it, and asserts the fault contract on every scenario:
   restarted, or degraded to the serial path), or
 * it raises a **typed** :class:`repro.errors.ReproError`, and
 * either way **zero** ``repro*`` segments are leaked in ``/dev/shm``, and
-* every fired fault left at least one matching event in the
+* every fired fault is counted in the scenario's job report in the
   :data:`repro.obs.FLIGHT` flight recorder (kill -> ``worker_restart``,
   stall -> ``dispatch_stall``, spent deadline -> ``timeout``, ...), so
   no recovery is invisible to an operator reading ``repro report``.
@@ -67,8 +67,8 @@ CHAOS_POLICY = FaultPolicy(max_retries=2, backoff_base_s=0.01,
 #: How long an injected stall sleeps — comfortably past the watchdog.
 STALL_S = 6.0
 
-#: Flight-recorder visibility contract: every injected fault must leave
-#: at least one event of a matching kind in the parent's ring (first
+#: Flight-recorder visibility contract: every injected fault must be
+#: counted under a matching kind in the scenario's job report (first
 #: entry = the canonical kind; the rest are acceptable recovery paths,
 #: e.g. a kill whose retries exhaust ends in ``degradation`` rather than
 #: ``worker_restart``).  A recovery the recorder cannot see is an outage
@@ -183,10 +183,15 @@ class Workload:
                 else self.batch_baseline_s)
 
 
+def last_job_report():
+    reports = FLIGHT.job_reports(1)
+    return reports[0] if reports else None
+
+
 def run_scenario(sc: Scenario, wl: Workload) -> dict:
     """Execute one scenario and classify its outcome."""
     before = set(repro_segments())
-    seq0 = FLIGHT.seq
+    prev_job = last_job_report()
     plan = None
     if sc.kind is not None:
         plan = faults.FaultPlan(kind=sc.kind, site=sc.site,
@@ -228,9 +233,10 @@ def run_scenario(sc: Scenario, wl: Workload) -> dict:
     if leaked:
         ok = False
 
-    # Fault-visibility contract: the flight recorder must have at least
-    # one matching event for every injected (and fired) fault.
-    flight = FLIGHT.fault_deltas(seq0)
+    # Fault-visibility contract: the scenario's outermost job (the last
+    # one recorded) must count every injected (and fired) fault.
+    job = last_job_report()
+    flight = job.events if job is not None and job != prev_job else {}
     visible_kinds = FAULT_VISIBILITY.get(
         sc.kind or ("deadline" if sc.op == "deadline" else ""))
     if visible_kinds is not None and (fired or sc.op == "deadline"):
